@@ -11,6 +11,7 @@ parse error.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -37,7 +38,8 @@ def _write_text(path, text):
 
 def read_signal_csv(path):
     """One value per line, or time,value pairs; a single leading header
-    line is tolerated. Malformed rows raise with their line number."""
+    line is tolerated. Malformed rows and non-finite values (nan, inf)
+    raise with their line number."""
     values = []
     first = True
     with open(path) as fh:
@@ -49,7 +51,7 @@ def read_signal_csv(path):
             if len(tokens) > 2:
                 raise InputFormatError(f"{path}: line {lineno}: expected 1 or 2 columns, got {len(tokens)}")
             try:
-                values.append(float(tokens[-1]))
+                value = float(tokens[-1])
             except ValueError:
                 if first:
                     first = False
@@ -57,6 +59,9 @@ def read_signal_csv(path):
                 raise InputFormatError(
                     f"{path}: line {lineno}: not a number: {tokens[-1]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise InputFormatError(f"{path}: line {lineno}: not a finite number: {tokens[-1]!r}")
+            values.append(value)
             first = False
     if not values:
         raise InputFormatError(f"{path}: no samples found")

@@ -12,6 +12,17 @@ power is the remaining in-band energy, and the ratio is clipped into
 [-20, 40] dB. Padding would smear a pure tone's energy across the band
 and hide the fact that its noise power is essentially zero.
 
+MACC, the maximum absolute Pearson correlation over integer lags, scores
+every lag in one pass. Both signals are centred on their window means;
+one np.correlate gives each lag's cross sum and prefix sums of the
+samples and their squares give each overlap's mean and variance. Each
+lag whose score comes within its rounding bound of the best is then
+scored again with the direct two-pass Pearson, so the result equals that
+of a loop over all lags bit for bit. A constant signal scores 0.0, where
+the loop returned its centring's rounding residue. tests/test_metrics.py
+keeps that loop as the oracle and compares the two over generated
+signals.
+
 Aggregate evaluation follows a windowing protocol: non-overlapping 30 s
 windows, per-window rates feeding MAE/RMSE/MAPE/Corr, per-window SNR and
 MACC averaged with their standard errors.
@@ -169,11 +180,73 @@ def _pearson(a, b):
     return float(ac @ bc) / denom
 
 
+def _overlap(x, y, lag):
+    """The two samples the lag aligns: x shifted by lag against y."""
+    n = x.size
+    if lag >= 0:
+        return x[lag:], y[: n - lag]
+    return x[: n + lag], y[-lag:]
+
+
+def _lagged_abs_pearson(x, y, lags):
+    """|r| at every lag from one cross-correlation and prefix sums, plus
+    a bound on how far each value may sit from _pearson's for that lag.
+
+    Both signals are centred on their whole-window means first, so the
+    prefix sums carry no DC term to cancel. Where an overlap's variance
+    is lost in rounding the bound is infinite and |r| is reported as 0.
+    """
+    n = x.size
+    xc = x - x.mean()
+    yc = y - y.mean()
+    cross = np.correlate(xc, yc, "full")[lags + (n - 1)]
+
+    def window_sums(v, lo, hi):
+        pre = np.concatenate(([0.0], np.cumsum(v)))
+        pre2 = np.concatenate(([0.0], np.cumsum(v * v)))
+        return pre[hi] - pre[lo], pre2[hi] - pre2[lo]
+
+    m = n - np.abs(lags)
+    sa, saa = window_sums(xc, np.maximum(lags, 0), np.minimum(n + lags, n))
+    sb, sbb = window_sums(yc, np.maximum(-lags, 0), np.minimum(n - lags, n))
+    cov = cross - sa * sb / m
+    var_a = saa - sa * sa / m
+    var_b = sbb - sb * sb / m
+
+    # The sums above are accurate to about tol times the whole window's
+    # sum of squares. _pearson centres each overlap on a mean that is
+    # itself off by up to about n * eps * max|sample|, which shifts its
+    # r by a second-order term. Divided by an overlap's own variance,
+    # each floor bounds that signal's share of the error on r.
+    eps = np.finfo(np.float64).eps
+    tol = 16.0 * eps * n ** 1.5
+
+    def floor(v, raw):
+        shift = 2.0 * n * eps * float(np.max(np.abs(raw)))
+        return tol * float(v @ v) + n * shift * shift
+
+    floor_a = floor(xc, x)
+    floor_b = floor(yc, y)
+    sure = (var_a > floor_a) & (var_b > floor_b)
+    safe_a = np.where(sure, var_a, 1.0)
+    safe_b = np.where(sure, var_b, 1.0)
+    r = np.where(sure, np.abs(cov) / np.sqrt(safe_a * safe_b), 0.0)
+    slack = np.where(sure, floor_a / safe_a + floor_b / safe_b, np.inf)
+    return r, slack
+
+
 def macc(pred, gt, max_lag_s=None):
     """Maximum absolute Pearson correlation over integer lags.
 
-    max_lag_s defaults to half the signal duration. Overlaps shorter
-    than 3 samples are skipped.
+    max_lag_s defaults to half the signal duration; a window wider than
+    the signal is clamped to it. Overlaps shorter than 3 samples are
+    skipped, and with none left, or a constant signal, the result is 0.0.
+
+    Every lag is scored at once (see _lagged_abs_pearson). Each lag
+    whose score is within its rounding bound of the best is then scored
+    again with _pearson, and the largest of those is returned. The
+    winning lag is always among them, so for non-constant signals the
+    result is the one a loop of _pearson over all lags gives, bit for bit.
     """
     if pred.fs != gt.fs:
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
@@ -183,19 +256,20 @@ def macc(pred, gt, max_lag_s=None):
         raise DomainError(f"length mismatch: {x.size} vs {y.size}")
     if max_lag_s is None:
         max_lag_s = x.size / (2.0 * pred.fs)
-    if max_lag_s < 0:
-        raise DomainError("max_lag_s must be >= 0")
-    max_lag = int(round(max_lag_s * pred.fs))
-    n = x.size
+    if not max_lag_s >= 0:
+        raise DomainError(f"max_lag_s must be >= 0, got {max_lag_s}")
+    max_lag = int(round(min(max_lag_s * pred.fs, x.size - 3)))
+    if max_lag < 0 or np.ptp(x) == 0 or np.ptp(y) == 0:
+        # no overlap of 3 samples, or a constant signal: r = 0 at every lag
+        return 0.0
+    lags = np.arange(-max_lag, max_lag + 1)
+    r, slack = _lagged_abs_pearson(x, y, lags)
+    # a NaN cutoff keeps every lag, which falls back to the full loop
+    cutoff = np.max(r - slack)
+    contenders = lags[~(r + slack < cutoff)]
     best = 0.0
-    for lag in range(-max_lag, max_lag + 1):
-        if lag >= 0:
-            a, b = x[lag:], y[: n - lag]
-        else:
-            a, b = x[: n + lag], y[-lag:]
-        if a.size < 3:
-            continue
-        best = max(best, abs(_pearson(a, b)))
+    for lag in contenders:
+        best = max(best, abs(_pearson(*_overlap(x, y, int(lag)))))
     # |r| <= 1 mathematically; trim the roundoff excess so identical
     # signals report exactly 1.0
     return min(best, 1.0)

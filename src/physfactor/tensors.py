@@ -121,8 +121,13 @@ class Waveform:
         s = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
         if s.ndim != 1 or s.size == 0:
             raise DomainError("Waveform needs a non-empty 1D sample vector")
-        if not self.fs > 0:
-            raise DomainError(f"Waveform fs must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise DomainError(f"Waveform fs must be positive and finite, got {self.fs}")
+        bad = np.flatnonzero(~np.isfinite(s))
+        if bad.size:
+            raise DomainError(
+                f"Waveform samples must be finite, got {s[bad[0]]} at index {bad[0]}"
+            )
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "fs", float(self.fs))

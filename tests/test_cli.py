@@ -7,6 +7,7 @@ import pytest
 
 from physfactor import synth
 from physfactor.cli import dump_json, main, read_signal_csv, write_signal_csv
+from physfactor.errors import InputFormatError
 from physfactor.tensors import Waveform
 
 
@@ -84,6 +85,19 @@ def test_metrics_malformed_csv_names_line(tmp_path, capsys):
     rc = main(["metrics", "--pred", str(bad), "--gt", str(good), "--fs", "25"])
     assert rc == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "0.5,NaN"])
+def test_metrics_non_finite_csv_names_line(tmp_path, capsys, token):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1.0\n2.0\n{token}\n")
+    good = tmp_path / "good.csv"
+    _write_tone_csv(good, [72.0])
+    rc = main(["metrics", "--pred", str(bad), "--gt", str(good), "--fs", "25"])
+    assert rc == 2
+    assert "line 3: not a finite number" in capsys.readouterr().err
+    with pytest.raises(InputFormatError, match="line 3"):
+        read_signal_csv(str(bad))
 
 
 def test_metrics_too_short_is_domain_error(tmp_path, capsys):

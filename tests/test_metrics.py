@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from physfactor.errors import DomainError
 from physfactor.metrics import (
     HR_BAND,
     RR_BAND,
     RateBand,
+    _pearson,
     band_for,
     concat_windows,
     error_metrics,
@@ -169,6 +172,171 @@ def test_macc_preconditions():
         macc(a, Waveform(np.zeros(90), 25.0))
     with pytest.raises(DomainError):
         macc(a, a, max_lag_s=-1.0)
+    with pytest.raises(DomainError):
+        macc(a, a, max_lag_s=float("nan"))
+
+
+def test_macc_rejects_non_finite_input():
+    # a single NaN used to score 1.0; the Waveform now refuses it
+    x = gen_pulse(25.0, 72.0, 30.0).samples.copy()
+    x[100] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        macc(Waveform(x, 25.0), gen_pulse(25.0, 72.0, 30.0))
+
+
+def test_rate_rejects_non_finite_input():
+    # a single NaN used to give 36.07 per minute, the HR band floor
+    x = gen_pulse(25.0, 72.0, 30.0).samples.copy()
+    x[100] = np.inf
+    with pytest.raises(DomainError, match="finite"):
+        estimate_rate_fft(Waveform(x, 25.0), HR_BAND)
+
+
+# ------------------------------------------------ macc against its loop oracle
+
+FS = 25.0
+
+
+def _macc_loop(pred, gt, max_lag_s=None):
+    """MACC as one _pearson per lag: the oracle for macc, which scores
+    every lag at once."""
+    x = pred.samples
+    y = gt.samples
+    if max_lag_s is None:
+        max_lag_s = x.size / (2.0 * pred.fs)
+    max_lag = int(round(max_lag_s * pred.fs))
+    n = x.size
+    best = 0.0
+    for lag in range(-max_lag, max_lag + 1):
+        if n - abs(lag) < 3:
+            continue
+        if lag >= 0:
+            a, b = x[lag:], y[: n - lag]
+        else:
+            a, b = x[: n + lag], y[-lag:]
+        best = max(best, abs(_pearson(a, b)))
+    return min(best, 1.0)
+
+
+def _shape(kind, n, rng):
+    t = np.arange(n)
+    if kind == "noise":
+        return rng.normal(size=n)
+    if kind == "rounded":                       # few distinct values, many ties
+        return np.round(2.0 * rng.normal(size=n))
+    if kind == "tone":
+        f = rng.uniform(HR_BAND.lo_hz, HR_BAND.hi_hz)
+        return np.sin(2 * np.pi * f * t / FS) + 0.1 * rng.normal(size=n)
+    if kind == "ramp":
+        return t / n
+    if kind == "steps":                         # constant runs of 7 samples
+        return np.repeat(rng.normal(size=n // 7 + 1), 7)[:n]
+    x = np.zeros(n)                             # a few spikes on a flat line
+    x[rng.integers(0, n, size=3)] = rng.normal(size=3)
+    return x
+
+
+SHAPES = ("noise", "rounded", "tone", "ramp", "steps", "spikes")
+scales = st.floats(1e-3, 1e6)
+offsets = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def signal_pairs(draw, n=st.integers(3, 800)):
+    """Two equal-length waveforms, independent, shifted copies or the same
+    signal, each with its own scale and DC offset."""
+    n = draw(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _shape(draw(st.sampled_from(SHAPES)), n, rng)
+    relation = draw(st.sampled_from(("independent", "shifted", "same")))
+    if relation == "independent":
+        y = _shape(draw(st.sampled_from(SHAPES)), n, rng)
+    elif relation == "shifted":
+        y = np.roll(x, int(rng.integers(0, n))) + 0.1 * rng.normal(size=n)
+    else:
+        y = x
+    pred = Waveform(draw(scales) * x + draw(offsets), FS)
+    gt = Waveform(draw(scales) * y + draw(offsets), FS)
+    return pred, gt
+
+
+@st.composite
+def max_lags(draw, n):
+    """None (the default half duration), 0, a window wider than the
+    signal, or anything in between."""
+    kind = draw(st.sampled_from(("default", "zero", "wide", "any")))
+    if kind == "default":
+        return None
+    if kind == "zero":
+        return 0.0
+    if kind == "wide":
+        return 2.0 * n / FS
+    return draw(st.floats(0.0, n / FS))
+
+
+def _assert_matches_oracle(pred, gt, max_lag_s):
+    # A constant signal has no correlation (0/0) and macc gives 0.0, see
+    # test_macc_constant_signal_is_zero. The loop returns whatever its
+    # centring leaves over, up to 2e-7 at a 1e6 offset, so those are
+    # left out here.
+    assume(np.ptp(pred.samples) > 0 and np.ptp(gt.samples) > 0)
+    assert abs(macc(pred, gt, max_lag_s) - _macc_loop(pred, gt, max_lag_s)) <= 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_macc_matches_loop_oracle(data):
+    pred, gt = data.draw(signal_pairs())
+    _assert_matches_oracle(pred, gt, data.draw(max_lags(pred.samples.size)))
+
+
+raw_samples = st.one_of(st.integers(-2, 2).map(float), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_macc_matches_loop_oracle_on_raw_samples(data):
+    # short drawn vectors: exact ties, zeros, mixed magnitudes
+    n = data.draw(st.integers(3, 40))
+    x = data.draw(st.lists(raw_samples, min_size=n, max_size=n))
+    y = data.draw(st.lists(raw_samples, min_size=n, max_size=n))
+    _assert_matches_oracle(Waveform(x, FS), Waveform(y, FS), data.draw(max_lags(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_macc_symmetric_and_bounded(data):
+    a, b = data.draw(signal_pairs())
+    max_lag_s = data.draw(max_lags(a.samples.size))
+    v = macc(a, b, max_lag_s)
+    assert 0.0 <= v <= 1.0
+    assert macc(b, a, max_lag_s) == v
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=signal_pairs(), value=offsets)
+def test_macc_constant_signal_is_zero(pair, value):
+    other, _ = pair
+    flat = Waveform(np.full(other.samples.size, value), FS)
+    assert macc(flat, other) == 0.0
+    assert macc(other, flat) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 800), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       offset=offsets, data=st.data())
+def test_macc_identical_signals_exactly_one(n, seed, scale, offset, data):
+    x = offset + scale * np.random.default_rng(seed).normal(size=n)
+    wave = Waveform(x, FS)
+    assert macc(wave, wave, data.draw(max_lags(n))) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("max_lag_s", [None, 0.0, 10.0])
+def test_macc_too_short_is_zero(n, max_lag_s):
+    a = Waveform(np.arange(n, dtype=float), FS)
+    b = Waveform(np.arange(n, dtype=float)[::-1] * 3.0, FS)
+    assert macc(a, b, max_lag_s) == 0.0
 
 
 def test_error_metrics_hand_example():

@@ -135,3 +135,17 @@ def test_waveform_validation():
         Waveform([], 25.0)
     with pytest.raises(DomainError):
         Waveform([1.0], 0.0)
+
+
+@pytest.mark.parametrize("fs", [np.inf, -np.inf, np.nan])
+def test_waveform_rejects_non_finite_fs(fs):
+    with pytest.raises(DomainError, match="fs"):
+        Waveform([0.0, 1.0], fs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_waveform_rejects_non_finite_samples(bad):
+    x = np.zeros(10)
+    x[7] = bad
+    with pytest.raises(DomainError, match="index 7"):
+        Waveform(x, 25.0)
