@@ -242,10 +242,10 @@ offsets = st.floats(-1e6, 1e6)
 
 
 @st.composite
-def signal_pairs(draw, n=st.integers(3, 800)):
+def signal_pairs(draw):
     """Two equal-length waveforms, independent, shifted copies or the same
     signal, each with its own scale and DC offset."""
-    n = draw(n)
+    n = draw(st.integers(3, 800))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = _shape(draw(st.sampled_from(SHAPES)), n, rng)
     relation = draw(st.sampled_from(("independent", "shifted", "same")))
@@ -277,7 +277,7 @@ def max_lags(draw, n):
 def _assert_matches_oracle(pred, gt, max_lag_s):
     # A constant signal has no correlation (0/0) and macc gives 0.0, see
     # test_macc_constant_signal_is_zero. The loop returns whatever its
-    # centring leaves over, up to 2e-7 at a 1e6 offset, so those are
+    # centring leaves over, about 2e-7 at a 1e6 offset, so those are
     # left out here.
     assume(np.ptp(pred.samples) > 0 and np.ptp(gt.samples) > 0)
     assert abs(macc(pred, gt, max_lag_s) - _macc_loop(pred, gt, max_lag_s)) <= 1e-12
