@@ -105,6 +105,30 @@ def excite(eps, attended):
     return VoxelEmbedding(eps.data + instance_norm(hadamard(eps, attended)).data)
 
 
+def solve(v, cfg, target=None):
+    """Factor a non-negative (tau x features) matrix with the solver that
+    cfg.variant names; the only place the variants are told apart.
+
+    Args:
+        v: EmbeddingMatrix, rows = time.
+        cfg: AttentionConfig selecting the variant and solver knobs.
+        target: sample vector of length v.m; required by tsfm, ignored
+            by fsam and grbf.
+
+    Returns:
+        FactorizationResult (factors, low-rank product, error trace).
+    """
+    if cfg.variant == "fsam":
+        return nmf_mu(v, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
+    if cfg.variant == "grbf":
+        basis = grbf_basis(v.m, cfg.grbf_sigma, cfg.grbf_delta_t).phi
+    elif target is None:
+        raise DomainError("tsfm needs a target signal")
+    else:
+        basis = target_basis(target, v.m).basis
+    return constrained_nmf_mu(v, basis, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
+
+
 def compute_attention(eps, cfg, target=None):
     """Run the full factorize-and-excite pipeline on one embedding.
 
@@ -119,19 +143,7 @@ def compute_attention(eps, cfg, target=None):
         excited embedding and the solver result (with its error trace).
     """
     pre = channel_mix_relu(eps, cfg.pre_mix)
-    v = flatten_to_matrix(pre)
-
-    if cfg.variant == "fsam":
-        res = nmf_mu(v, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
-    elif cfg.variant == "grbf":
-        basis = grbf_basis(eps.tau, cfg.grbf_sigma, cfg.grbf_delta_t)
-        res = constrained_nmf_mu(v, basis.phi, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
-    else:  # tsfm
-        if target is None:
-            raise DomainError("tsfm attention needs a target signal")
-        constraint = target_basis(target, eps.tau)
-        res = constrained_nmf_mu(v, constraint.basis, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
-
+    res = solve(flatten_to_matrix(pre), cfg, target)
     back = unflatten_to_voxel(EmbeddingMatrix(res.low_rank), eps.shape)
     attended = channel_mix_relu(back, cfg.post_mix)
     return AttentionOutput(attended, excite(eps, attended), res)

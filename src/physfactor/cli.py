@@ -10,6 +10,7 @@ parse error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,10 +19,9 @@ import time
 import numpy as np
 
 from . import synth
-from .attention import csim_map, compute_attention
+from .attention import VARIANTS, compute_attention, csim_map, solve
 from .config import ENV_CONFIG_PATH, defaults_text, load_run_config
 from .errors import DomainError, InputFormatError
-from .factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
 from .metrics import estimate_rate_fft, evaluate_windows
 from .network import forward_multitask, param_count
 from .tensors import EmbeddingMatrix, VoxelEmbedding, Waveform
@@ -86,10 +86,14 @@ def read_matrix_csv(path):
             line = raw.strip()
             if not line:
                 continue
+            tokens = line.split(",")
             try:
-                row = [float(tok) for tok in line.split(",")]
+                row = [float(tok) for tok in tokens]
             except ValueError:
                 raise InputFormatError(f"{path}: line {lineno}: non-numeric entry") from None
+            bad = [tok.strip() for tok, x in zip(tokens, row) if not math.isfinite(x)]
+            if bad:
+                raise InputFormatError(f"{path}: line {lineno}: not a finite number: {bad[0]!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -115,9 +119,13 @@ def _emit_report(args, obj, also_stdout=True):
 
 def cmd_factorize(args):
     cfg = load_run_config(args.config, args.seed)
-    variant = args.variant or cfg.variant
-    rank = args.rank or cfg.rank
-    iterations = args.iterations or cfg.iterations
+    flags = ("rank", "iterations", "grbf_sigma", "grbf_delta_t")
+    att_cfg = dataclasses.replace(
+        cfg.attention_config(args.variant),
+        **{key: getattr(args, key) for key in flags if getattr(args, key) is not None},
+    )
+    if att_cfg.variant == "tsfm" and not args.target:
+        raise DomainError("tsfm factorization needs --target")
 
     if args.input:
         v = read_matrix_csv(args.input)
@@ -125,26 +133,14 @@ def cmd_factorize(args):
         m, n = _parse_shape(args.demo_shape, 2, "--demo-shape")
         v = np.random.default_rng(cfg.seed).random((m, n))
     v = EmbeddingMatrix(v)
-
-    if variant == "fsam":
-        res = nmf_mu(v, rank, iterations, cfg.seed, guard=cfg.epsilon)
-    elif variant == "grbf":
-        basis = grbf_basis(v.m, args.grbf_sigma or cfg.grbf_sigma, args.grbf_delta_t or cfg.grbf_delta_t)
-        res = constrained_nmf_mu(v, basis.phi, rank, iterations, cfg.seed, guard=cfg.epsilon)
-    elif variant == "tsfm":
-        if not args.target:
-            raise DomainError("tsfm factorization needs --target")
-        y = read_signal_csv(args.target)
-        res = constrained_nmf_mu(v, target_basis(y, v.m).basis, rank, iterations, cfg.seed, guard=cfg.epsilon)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
+    res = solve(v, att_cfg, read_signal_csv(args.target) if args.target else None)
 
     _emit_report(args, {
-        "variant": variant,
+        "variant": att_cfg.variant,
         "m": v.m,
         "n": v.n,
-        "rank": rank,
-        "iterations": iterations,
+        "rank": att_cfg.rank,
+        "iterations": att_cfg.iterations,
         "seed": cfg.seed,
         "error_trace": [float(e) for e in res.error_trace],
         "final_error": float(res.error_trace[-1]),
@@ -164,8 +160,7 @@ def _parse_shape(text, length, flag):
 
 def cmd_attend(args):
     cfg = load_run_config(args.config, args.seed)
-    variant = args.variant or cfg.variant
-    att_cfg = cfg.attention_config(variant)
+    att_cfg = cfg.attention_config(args.variant)
 
     if args.input:
         data = np.load(args.input)
@@ -193,7 +188,7 @@ def cmd_attend(args):
 
     out = compute_attention(eps, att_cfg, target)
     report = {
-        "variant": variant,
+        "variant": att_cfg.variant,
         "shape": list(eps.shape),
         "iterations": att_cfg.iterations,
         "rank": att_cfg.rank,
@@ -221,9 +216,10 @@ def cmd_metrics(args):
         pred,
         gt,
         kind=args.kind,
-        window_s=args.window_s or cfg.window_s,
+        window_s=args.window_s if args.window_s is not None else cfg.window_s,
         pad_factor=cfg.pad_factor,
         max_lag_s=args.max_lag_s if args.max_lag_s is not None else cfg.max_lag_s,
+        band=cfg.band(args.kind),
     )
     obj = report.as_dict()
     if args.format == "json":
@@ -351,7 +347,7 @@ def build_parser():
     p = sub.add_parser("factorize", parents=[common], help="run one factorization on a matrix")
     p.add_argument("--input", help="CSV matrix, one comma-separated row per line")
     p.add_argument("--demo-shape", default="64,512", help="M,N for a seeded random matrix")
-    p.add_argument("--variant", choices=("fsam", "grbf", "tsfm"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--rank", type=int)
     p.add_argument("--iterations", type=int)
     p.add_argument("--grbf-sigma", type=float)
@@ -368,7 +364,7 @@ def build_parser():
     p.add_argument("--noise-sigma", type=float, default=0.3)
     p.add_argument("--rate", type=float, default=72.0)
     p.add_argument("--fs", type=float, default=25.0)
-    p.add_argument("--variant", choices=("fsam", "grbf", "tsfm"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--save-excited", help="save the excited embedding to this .npy path")
     p.set_defaults(fn=cmd_attend)
 

@@ -17,37 +17,40 @@ from .network import ConvBlockSpec, ModelConfig
 
 ENV_CONFIG_PATH = "PHYSFACTOR_CONFIG"
 
+# Every key with its default (as written in the INI text) and its value
+# type. tuple means a comma-separated integer list; a key whose default
+# is "auto" also takes "auto", which parses to None.
 _DEFAULTS = {
     "attention": {
-        "variant": "fsam",
-        "rank": "8",
-        "iterations": "4",
-        "epsilon": "1e-06",
-        "grbf_sigma": "2.0",
-        "grbf_delta_t": "4",
+        "variant": ("fsam", str),
+        "rank": ("8", int),
+        "iterations": ("4", int),
+        "epsilon": ("1e-06", float),
+        "grbf_sigma": ("2.0", float),
+        "grbf_delta_t": ("4", int),
     },
     "model": {
-        "resolution": "72",
-        "channels": "3",
-        "bvp_channels": "8,12,12,8",
-        "rsp_channels": "8,12,12,8",
-        "temporal_kernel": "3",
-        "spatial_kernel": "3",
-        "rsp_temporal_strides": "2,2,1,1",
-        "attention_index": "2",
-        "use_attention": "true",
+        "resolution": ("72", int),
+        "channels": ("3", int),
+        "bvp_channels": ("8,12,12,8", tuple),
+        "rsp_channels": ("8,12,12,8", tuple),
+        "temporal_kernel": ("3", int),
+        "spatial_kernel": ("3", int),
+        "rsp_temporal_strides": ("2,2,1,1", tuple),
+        "attention_index": ("2", int),
+        "use_attention": ("true", bool),
     },
     "metrics": {
-        "window_s": "30.0",
-        "pad_factor": "8",
-        "max_lag_s": "auto",
-        "hr_lo_hz": "0.6",
-        "hr_hi_hz": "3.3",
-        "rr_lo_hz": "0.1",
-        "rr_hi_hz": "0.5",
+        "window_s": ("30.0", float),
+        "pad_factor": ("8", int),
+        "max_lag_s": ("auto", float),
+        "hr_lo_hz": ("0.6", float),
+        "hr_hi_hz": ("3.3", float),
+        "rr_lo_hz": ("0.1", float),
+        "rr_hi_hz": ("0.5", float),
     },
     "rng": {
-        "seed": "0",
+        "seed": ("0", int),
     },
 }
 
@@ -57,36 +60,29 @@ def defaults_text():
     chunks = []
     for section, keys in _DEFAULTS.items():
         chunks.append(f"[{section}]")
-        for key, value in keys.items():
-            chunks.append(f"{key} = {value}")
+        for key, (default, _) in keys.items():
+            chunks.append(f"{key} = {default}")
         chunks.append("")
     return "\n".join(chunks)
 
 
-def _parse_scalar(section, key, raw, kind):
+def _parse(section, key, raw):
+    default, kind = _DEFAULTS[section][key]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        if raw == "auto" and default == "auto":
+            return None
+        if kind is tuple:
+            return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
         if kind is bool:
             if raw.lower() in ("true", "yes", "on", "1"):
                 return True
             if raw.lower() in ("false", "no", "off", "0"):
                 return False
             raise ValueError(raw)
-        return raw
+        return kind(raw)
     except ValueError:
-        raise InputFormatError(
-            f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}"
-        ) from None
-
-
-def _parse_int_list(section, key, raw):
-    try:
-        return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise InputFormatError(f"[{section}] {key}: cannot parse {raw!r} as an integer list") from None
+        what = "an integer list" if kind is tuple else kind.__name__
+        raise InputFormatError(f"[{section}] {key}: cannot parse {raw!r} as {what}") from None
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,6 @@ class RunConfig:
         att = None
         if self.use_attention and not omit_attention:
             att = self.attention_config()
-        upsample = 1
-        for s in self.rsp_temporal_strides:
-            upsample *= s
         bvp = tuple(
             ConvBlockSpec(c, self.temporal_kernel, self.spatial_kernel, 1, 2)
             for c in self.bvp_channels
@@ -151,7 +144,6 @@ class RunConfig:
             input_channels=self.channels,
             bvp_blocks=bvp,
             rsp_blocks=rsp,
-            rsp_upsample_factor=upsample,
             attention_index=self.attention_index,
             bvp_attention=att,
             rsp_attention=att,
@@ -160,49 +152,16 @@ class RunConfig:
 
 
 def _build(values, seed_override=None):
-    get = lambda s, k: values[s][k]
-    max_lag_raw = get("metrics", "max_lag_s")
-    max_lag = None if max_lag_raw == "auto" else _parse_scalar("metrics", "max_lag_s", max_lag_raw, float)
-    seed = _parse_scalar("rng", "seed", get("rng", "seed"), int)
+    parsed = {
+        key: _parse(section, key, raw) for section, keys in values.items() for key, raw in keys.items()
+    }
     if seed_override is not None:
-        seed = int(seed_override)
-    if len(values["model"]["rsp_channels"].split(",")) != len(
-        values["model"]["rsp_temporal_strides"].split(",")
-    ):
+        parsed["seed"] = int(seed_override)
+    if len(parsed["rsp_channels"]) != len(parsed["rsp_temporal_strides"]):
         raise InputFormatError("[model] rsp_channels and rsp_temporal_strides must have equal length")
-    return RunConfig(
-        variant=get("attention", "variant"),
-        rank=_parse_scalar("attention", "rank", get("attention", "rank"), int),
-        iterations=_parse_scalar("attention", "iterations", get("attention", "iterations"), int),
-        epsilon=_parse_scalar("attention", "epsilon", get("attention", "epsilon"), float),
-        grbf_sigma=_parse_scalar("attention", "grbf_sigma", get("attention", "grbf_sigma"), float),
-        grbf_delta_t=_parse_scalar("attention", "grbf_delta_t", get("attention", "grbf_delta_t"), int),
-        resolution=_parse_scalar("model", "resolution", get("model", "resolution"), int),
-        channels=_parse_scalar("model", "channels", get("model", "channels"), int),
-        bvp_channels=_parse_int_list("model", "bvp_channels", get("model", "bvp_channels")),
-        rsp_channels=_parse_int_list("model", "rsp_channels", get("model", "rsp_channels")),
-        temporal_kernel=_parse_scalar("model", "temporal_kernel", get("model", "temporal_kernel"), int),
-        spatial_kernel=_parse_scalar("model", "spatial_kernel", get("model", "spatial_kernel"), int),
-        rsp_temporal_strides=_parse_int_list(
-            "model", "rsp_temporal_strides", get("model", "rsp_temporal_strides")
-        ),
-        attention_index=_parse_scalar("model", "attention_index", get("model", "attention_index"), int),
-        use_attention=_parse_scalar("model", "use_attention", get("model", "use_attention"), bool),
-        window_s=_parse_scalar("metrics", "window_s", get("metrics", "window_s"), float),
-        pad_factor=_parse_scalar("metrics", "pad_factor", get("metrics", "pad_factor"), int),
-        max_lag_s=max_lag,
-        hr_band=RateBand(
-            _parse_scalar("metrics", "hr_lo_hz", get("metrics", "hr_lo_hz"), float),
-            _parse_scalar("metrics", "hr_hi_hz", get("metrics", "hr_hi_hz"), float),
-            "hr",
-        ),
-        rr_band=RateBand(
-            _parse_scalar("metrics", "rr_lo_hz", get("metrics", "rr_lo_hz"), float),
-            _parse_scalar("metrics", "rr_hi_hz", get("metrics", "rr_hi_hz"), float),
-            "rr",
-        ),
-        seed=seed,
-    )
+    for kind in ("hr", "rr"):
+        parsed[f"{kind}_band"] = RateBand(parsed.pop(f"{kind}_lo_hz"), parsed.pop(f"{kind}_hi_hz"), kind)
+    return RunConfig(**parsed)
 
 
 def load_run_config(path=None, seed_override=None):
@@ -214,7 +173,7 @@ def load_run_config(path=None, seed_override=None):
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None
 
-    values = {s: dict(keys) for s, keys in _DEFAULTS.items()}
+    values = {s: {key: default for key, (default, _) in keys.items()} for s, keys in _DEFAULTS.items()}
     if path is not None:
         parser = configparser.ConfigParser()
         try:

@@ -64,14 +64,39 @@ class FactorizationResult:
 
 
 def _check_nonneg(a, name):
-    if a.min() < 0:
-        raise DomainError(f"{name} must be non-negative")
+    # written so that NaN fails the comparison
+    if not a.min() >= 0 or a.max() == np.inf:
+        raise DomainError(f"{name} must be non-negative and finite")
 
 
-def _as_matrix(v):
-    if isinstance(v, EmbeddingMatrix):
-        return v.data
-    return np.asarray(v, dtype=np.float64)
+def _nonneg_matrix(v, name):
+    a = v.data if isinstance(v, EmbeddingMatrix) else np.asarray(v, dtype=np.float64)
+    if a.ndim != 2:
+        raise DomainError(f"{name} expects a 2D matrix")
+    _check_nonneg(a, f"{name} input")
+    return a
+
+
+def _run_mu(a, inner, rank, iterations, seed, sweep):
+    """Shared multiplicative-update driver.
+
+    Draws an inner x rank and a rank x N factor uniformly on (0, 1] from
+    a seeded generator, runs `iterations` sweeps and records the
+    Frobenius error of each sweep's reconstruction. sweep(x, y) updates
+    both factors in place and returns their reconstruction of `a`.
+    """
+    if iterations < 1:
+        raise DomainError("iterations must be >= 1")
+    rng = np.random.default_rng(seed)
+    x = 1.0 - rng.random((inner, rank))    # uniform on (0, 1]
+    y = 1.0 - rng.random((rank, a.shape[1]))
+    trace = np.empty(iterations)
+    for it in range(iterations):
+        low = sweep(x, y)
+        trace[it] = np.linalg.norm(a - low)
+    for arr in (x, y, low, trace):
+        arr.flags.writeable = False
+    return FactorizationResult(FactorPair(x, y, rank), low, trace, iterations, seed)
 
 
 def nmf_mu(v, rank, iterations=4, seed=0, guard=DENOM_GUARD):
@@ -86,7 +111,7 @@ def nmf_mu(v, rank, iterations=4, seed=0, guard=DENOM_GUARD):
     iteration and is non-increasing up to the guard's perturbation.
 
     Args:
-        v: non-negative EmbeddingMatrix or 2D array.
+        v: non-negative, finite EmbeddingMatrix or 2D array.
         rank: number of components L, 1 <= L <= min(M, N).
         iterations: full update sweeps, >= 1.
         seed: RNG seed for the factor init.
@@ -95,32 +120,17 @@ def nmf_mu(v, rank, iterations=4, seed=0, guard=DENOM_GUARD):
     Returns:
         FactorizationResult with low_rank = W @ H.
     """
-    a = _as_matrix(v)
-    if a.ndim != 2:
-        raise DomainError("nmf_mu expects a 2D matrix")
-    _check_nonneg(a, "nmf_mu input")
+    a = _nonneg_matrix(v, "nmf_mu")
     m, n = a.shape
     if not 1 <= rank <= min(m, n):
         raise DomainError(f"rank must satisfy 1 <= rank <= min(M, N) = {min(m, n)}, got {rank}")
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
 
-    rng = np.random.default_rng(seed)
-    w = 1.0 - rng.random((m, rank))    # uniform on (0, 1]
-    h = 1.0 - rng.random((rank, n))
-
-    trace = np.empty(iterations)
-    for it in range(iterations):
+    def sweep(w, h):
         h *= (w.T @ a) / (w.T @ w @ h + guard)
         w *= (a @ h.T) / (w @ h @ h.T + guard)
-        trace[it] = np.linalg.norm(a - w @ h)
+        return w @ h
 
-    low = w @ h
-    w.flags.writeable = False
-    h.flags.writeable = False
-    low.flags.writeable = False
-    trace.flags.writeable = False
-    return FactorizationResult(FactorPair(w, h, rank), low, trace, iterations, seed)
+    return _run_mu(a, m, rank, iterations, seed, sweep)
 
 
 def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0, guard=DENOM_GUARD):
@@ -133,20 +143,17 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0, guard=DENOM_GUARD):
     Every column of the reconstruction B P Q lies in span(B).
 
     Args:
-        v: non-negative EmbeddingMatrix or 2D array (M x N).
+        v: non-negative, finite EmbeddingMatrix or 2D array (M x N).
         basis: fixed non-negative M x K matrix (bump bank or target column).
         rank: inner rank L >= 1.
         iterations: full update sweeps, >= 1.
         seed: RNG seed for the factor init.
         guard: additive denominator guard.
     """
-    a = _as_matrix(v)
-    if a.ndim != 2:
-        raise DomainError("constrained_nmf_mu expects a 2D matrix")
+    a = _nonneg_matrix(v, "constrained_nmf_mu")
     b = np.asarray(basis, dtype=np.float64)
     if b.ndim == 1:
         b = b[:, None]
-    _check_nonneg(a, "constrained_nmf_mu input")
     _check_nonneg(b, "constraint basis")
     if b.shape[0] != a.shape[0]:
         raise DomainError(
@@ -154,29 +161,16 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0, guard=DENOM_GUARD):
         )
     if rank < 1:
         raise DomainError("rank must be >= 1")
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
-
-    k = b.shape[1]
-    n = a.shape[1]
-    rng = np.random.default_rng(seed)
-    p = 1.0 - rng.random((k, rank))
-    q = 1.0 - rng.random((rank, n))
 
     btb = b.T @ b          # (k, k)
     btv = b.T @ a          # (k, n)
-    trace = np.empty(iterations)
-    for it in range(iterations):
+
+    def sweep(p, q):
         p *= (btv @ q.T) / (btb @ p @ q @ q.T + guard)
         q *= (p.T @ btv) / (p.T @ btb @ p @ q + guard)
-        trace[it] = np.linalg.norm(a - b @ p @ q)
+        return b @ p @ q
 
-    low = b @ p @ q
-    p.flags.writeable = False
-    q.flags.writeable = False
-    low.flags.writeable = False
-    trace.flags.writeable = False
-    return FactorizationResult(FactorPair(p, q, rank), low, trace, iterations, seed)
+    return _run_mu(a, b.shape[1], rank, iterations, seed, sweep)
 
 
 def grbf_basis(m, sigma, delta_t):

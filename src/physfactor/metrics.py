@@ -343,6 +343,8 @@ def error_metrics(preds, gts, corr="strict"):
 def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
     """Non-overlapping windows of window_s seconds; a trailing remainder
     is kept when it is long enough for rate estimation."""
+    if not 1 <= window_s * wave.fs < np.inf:
+        raise DomainError(f"window_s must span at least one sample, got {window_s}")
     size = int(round(window_s * wave.fs))
     out = []
     for start in range(0, wave.samples.size, size):
@@ -357,18 +359,18 @@ def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
 
 
 def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACTOR,
-                     max_lag_s=None, corr="auto"):
+                     max_lag_s=None, corr="auto", band=None):
     """Full windowed evaluation of a prediction against ground truth.
 
     Both signals are truncated to their common length and cut into
     non-overlapping windows. Per window: FFT rates for both signals, SNR
     of the prediction against the ground-truth rate, MACC between the
     raw traces. Rates feed error_metrics; SNR and MACC are averaged with
-    their standard errors.
+    their standard errors. band defaults to band_for(kind).
     """
     if pred.fs != gt.fs:
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
-    band = band_for(kind)
+    band = band_for(kind) if band is None else band
     n = min(pred.samples.size, gt.samples.size)
     pw = split_windows(Waveform(pred.samples[:n], pred.fs), window_s)
     gw = split_windows(Waveform(gt.samples[:n], gt.fs), window_s)

@@ -11,6 +11,7 @@ Weights are initialized from a seeded generator; there is no training
 here, determinism is all that matters.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,6 @@ class ModelConfig:
     input_channels: int = 3
     bvp_blocks: tuple = ()
     rsp_blocks: tuple = ()
-    rsp_upsample_factor: int = 4
     attention_index: int = 2
     bvp_attention: AttentionConfig | None = None
     rsp_attention: AttentionConfig | None = None
@@ -69,19 +69,17 @@ class ModelConfig:
         for blk in bvp:
             if blk.temporal_stride != 1:
                 raise DomainError("bvp blocks must keep temporal_stride = 1")
-        prod = 1
-        for blk in rsp:
-            prod *= blk.temporal_stride
-        if prod != self.rsp_upsample_factor:
-            raise DomainError(
-                f"product of rsp temporal strides is {prod}, "
-                f"does not match rsp_upsample_factor = {self.rsp_upsample_factor}"
-            )
         nblocks = min(len(bvp), len(rsp))
         if not 0 <= self.attention_index < nblocks:
             raise DomainError(f"attention_index {self.attention_index} outside 0..{nblocks - 1}")
         object.__setattr__(self, "bvp_blocks", tuple(bvp))
         object.__setattr__(self, "rsp_blocks", tuple(rsp))
+
+    @property
+    def rsp_upsample_factor(self):
+        """Temporal downsampling of the respiration branch, which its final
+        upsample undoes: the product of the rsp temporal strides."""
+        return math.prod(blk.temporal_stride for blk in self.rsp_blocks)
 
     def branch_in_channels(self, branch):
         # with a 4-channel (RGB + thermal) input the pulse branch reads

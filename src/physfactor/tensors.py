@@ -89,7 +89,7 @@ class VideoClip:
             raise DomainError(f"VideoClip channels must be 1, 3 or 4, got {c}")
         if h != w or h not in (9, 36, 72):
             raise DomainError(f"VideoClip needs square frames of side 9, 36 or 72, got {h}x{w}")
-        if a.min() < 0.0 or a.max() > 1.0:
+        if not (a.min() >= 0.0 and a.max() <= 1.0):    # NaN fails too
             raise DomainError("VideoClip values must lie in [0, 1]")
         object.__setattr__(self, "data", a)
 

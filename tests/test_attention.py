@@ -7,10 +7,11 @@ from physfactor.attention import (
     compute_attention,
     csim_map,
     excite,
+    solve,
 )
 from physfactor.errors import DomainError
 from physfactor.tensors import VoxelEmbedding, flatten_to_matrix, instance_norm
-from physfactor.factorize import target_basis
+from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
 
 
 def _rand_eps(shape=(20, 4, 3, 3), seed=0, shift=0.0):
@@ -49,6 +50,26 @@ def test_compute_attention_shapes_all_variants():
     out = compute_attention(eps, AttentionConfig(variant="grbf", grbf_sigma=2.0, grbf_delta_t=4))
     assert out.excited.shape == (20, 4, 3, 3)
     assert len(out.factorization.error_trace) == 4
+
+
+def test_solve_dispatches_each_variant():
+    v = flatten_to_matrix(VoxelEmbedding(np.abs(_rand_eps((20, 4, 3, 3)).data)))
+    y = np.sin(np.arange(20) * 0.3)
+    expected = {
+        "fsam": nmf_mu(v, 3, 5, 2, guard=1e-5),
+        "grbf": constrained_nmf_mu(v, grbf_basis(20, 1.5, 3).phi, 3, 5, 2, guard=1e-5),
+        "tsfm": constrained_nmf_mu(v, target_basis(y, 20).basis, 3, 5, 2, guard=1e-5),
+    }
+    for variant, want in expected.items():
+        cfg = AttentionConfig(variant=variant, rank=3, iterations=5, epsilon=1e-5,
+                              grbf_sigma=1.5, grbf_delta_t=3, seed=2)
+        got = solve(v, cfg, y)
+        assert np.array_equal(got.low_rank, want.low_rank)
+        assert np.array_equal(got.error_trace, want.error_trace)
+        out = compute_attention(VoxelEmbedding(v.data.reshape(20, 4, 3, 3)), cfg, y)
+        assert np.array_equal(out.factorization.low_rank, want.low_rank)
+    with pytest.raises(DomainError, match="target"):
+        solve(v, AttentionConfig(variant="tsfm"))
 
 
 def test_tsfm_target_errors():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from physfactor import synth
-from physfactor.cli import dump_json, main, read_signal_csv, write_signal_csv
+from physfactor.cli import dump_json, main, read_matrix_csv, read_signal_csv, write_signal_csv
 from physfactor.errors import InputFormatError
+from physfactor.metrics import RateBand, evaluate_windows
 from physfactor.tensors import Waveform
 
 
@@ -117,6 +118,33 @@ def test_metrics_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_metrics_zero_window_is_domain_error(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    _write_tone_csv(sig, [72.0] * 2)
+    rc = main(["metrics", "--pred", str(sig), "--gt", str(sig), "--fs", "25", "--window-s", "0"])
+    assert rc == 1
+    assert "window_s" in capsys.readouterr().err
+
+
+def test_metrics_reads_configured_band(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    gt = tmp_path / "gt.csv"
+    _write_tone_csv(pred, [60.0, 64.0, 68.0, 76.0], noise=0.2, seed=3)
+    _write_tone_csv(gt, [60.0, 64.0, 68.0, 76.0])
+    args = ["metrics", "--pred", str(pred), "--gt", str(gt), "--fs", "25", "--format", "json"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    waves = [Waveform(read_signal_csv(str(path)), 25.0) for path in (pred, gt)]
+    assert default == dump_json(evaluate_windows(*waves).as_dict())
+
+    ini = tmp_path / "narrow.ini"
+    ini.write_text("[metrics]\nhr_hi_hz = 1.2\n")    # 72 bpm, below the last window's rate
+    assert main(args + ["--config", str(ini)]) == 0
+    narrowed = capsys.readouterr().out
+    assert narrowed != default
+    assert narrowed == dump_json(evaluate_windows(*waves, band=RateBand(0.6, 1.2, "hr")).as_dict())
+
+
 # ---------------------------------------------------------------- factorize
 
 
@@ -162,6 +190,32 @@ def test_factorize_ragged_matrix(tmp_path, capsys):
     rc = main(["factorize", "--input", str(mat)])
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_factorize_non_finite_matrix_names_line(tmp_path, capsys, token):
+    mat = tmp_path / "mat.csv"
+    mat.write_text(f"1,2,3\n4,{token},6\n7,8,9\n")
+    rc = main(["factorize", "--input", str(mat), "--rank", "1", "--iterations", "2"])
+    assert rc == 2
+    assert "line 2: not a finite number" in capsys.readouterr().err
+    with pytest.raises(InputFormatError, match="line 2"):
+        read_matrix_csv(str(mat))
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rank", "0"],
+    ["--iterations", "0"],
+    ["--rank", "0", "--iterations", "0"],
+    ["--variant", "grbf", "--grbf-delta-t", "0"],
+    ["--variant", "grbf", "--grbf-sigma", "0"],
+])
+def test_factorize_zero_flags_are_domain_errors(capsys, flags):
+    # 0 is a value, not "unset": it must reach the solver and fail there
+    rc = main(["factorize", "--demo-shape", "16,8"] + flags)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_factorize_reads_matrix_csv(tmp_path, capsys):

@@ -95,3 +95,12 @@ def test_use_attention_flag(tmp_path):
     path.write_text("[model]\nuse_attention = false\n")
     model = load_run_config(str(path)).model_config()
     assert model.bvp_attention is None
+
+
+def test_rsp_list_lengths_compared_after_parsing(tmp_path):
+    # an empty entry is dropped by the parser, so "8,,12,12,8" is four
+    # channels; five strides must not be cut to four without a word
+    path = tmp_path / "odd.ini"
+    path.write_text("[model]\nrsp_channels = 8,,12,12,8\nrsp_temporal_strides = 2,2,1,1,1\n")
+    with pytest.raises(InputFormatError, match="equal length"):
+        load_run_config(str(path))

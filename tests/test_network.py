@@ -127,9 +127,13 @@ def test_model_config_invariants():
     with pytest.raises(DomainError):
         ModelConfig(bvp_blocks=(ConvBlockSpec(8, temporal_stride=2),))
     with pytest.raises(DomainError):
-        ModelConfig(rsp_blocks=(ConvBlockSpec(8, temporal_stride=2),), rsp_upsample_factor=4)
-    with pytest.raises(DomainError):
         ModelConfig(attention_index=7)
+
+
+def test_rsp_upsample_factor_is_the_stride_product():
+    assert ModelConfig().rsp_upsample_factor == 4
+    blocks = tuple(ConvBlockSpec(8, temporal_stride=s) for s in (3, 1, 2, 1))
+    assert ModelConfig(rsp_blocks=blocks).rsp_upsample_factor == 6
 
 
 def test_forward_multitask_routing():

@@ -128,6 +128,13 @@ def test_video_clip_validation():
         VideoClip(np.full((4, 3, 9, 9), 1.5))
 
 
+def test_video_clip_rejects_nan():
+    data = np.full((4, 3, 9, 9), 0.5)
+    data[2, 1, 3, 4] = np.nan
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        VideoClip(data)
+
+
 def test_waveform_validation():
     w = Waveform([0.0, 1.0], 25.0)
     assert w.duration_s == pytest.approx(0.08)
