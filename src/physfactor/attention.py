@@ -153,19 +153,27 @@ def csim_map(eps, target):
     """Absolute cosine similarity of every voxel trace with a target.
 
     For each (c, a, b) the temporal vector eps[:, c, a, b] is compared
-    with the target; the result lies in [0, 1]. Zero-norm traces map to
-    0 rather than dividing by zero.
+    with the target; the result lies in [0, 1] for any finite input.
+    Zero traces map to 0 rather than dividing by zero.
     """
     y = np.asarray(target, dtype=np.float64).ravel()
     if y.size != eps.tau:
         raise DomainError(f"target length {y.size} does not match tau = {eps.tau}")
-    ynorm = np.linalg.norm(y)
-    if ynorm == 0.0:
-        raise DomainError("target signal is all zeros")
     x = eps.data
-    num = np.abs(np.tensordot(y, x, axes=([0], [0])))   # (c, a, b)
-    den = np.linalg.norm(x, axis=0) * ynorm
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise DomainError("csim_map needs a finite embedding and target")
+    ymax = np.max(np.abs(y))
+    if ymax == 0.0:
+        raise DomainError("target signal is all zeros")
+    # the cosine ignores scale, so each trace and the target are divided
+    # by their largest magnitude first: no norm can overflow, and every
+    # non-zero trace keeps a norm of at least 1
+    xmax = np.max(np.abs(x), axis=0)
+    nz = xmax > 0
+    xs = x / np.where(nz, xmax, 1.0)
+    ys = y / ymax
+    num = np.abs(np.tensordot(ys, xs, axes=([0], [0])))   # (c, a, b)
+    den = np.linalg.norm(xs, axis=0) * np.linalg.norm(ys)
     out = np.zeros_like(num)
-    nz = den > 0
     out[nz] = num[nz] / den[nz]
     return np.minimum(out, 1.0)

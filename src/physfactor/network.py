@@ -7,14 +7,20 @@ linearly upsamples back to the frame count at the end. Both branches
 are fully convolutional in time: any frame count works (the respiration
 branch needs it divisible by its stride product).
 
+Every conv block runs through `conv3d_forward`, a chunked im2col
+lowering in float64: one matmul per few output frames. The per-tap loop
+it replaced is the oracle in the tests.
+
 Weights are initialized from a seeded generator; there is no training
 here, determinism is all that matters.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
 from .errors import DomainError
@@ -89,15 +95,38 @@ class ModelConfig:
         return self.input_channels
 
 
+# Output columns (frames x output pixels) gathered per im2col matmul. At
+# least one frame is always taken, so a 72 px block 0 (1,296 pixels)
+# runs one frame at a time; the patch buffer stays within a few MB.
+_CHUNK_COLUMNS = 512
+
+
+def _int_triple(values, name):
+    """Three Python or numpy integers; a float such as 1.7 is refused
+    rather than truncated."""
+    try:
+        out = tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise DomainError(f"{name} must be three integers, got {values!r}") from None
+    if len(out) != 3:
+        raise DomainError(f"{name} must be three integers, got {values!r}")
+    return out
+
+
 def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)):
     """Strided 3D cross-correlation with zero padding.
 
+    Lowered to chunked im2col: the patches of a few output frames at a
+    time are copied into one reused buffer, and one matmul with the
+    (out_c, in_c*kt*ka*kb) weight matrix writes those frames of the
+    output directly.
+
     Args:
         eps: VoxelEmbedding (t, c, a, b).
-        weights: array (out_c, in_c, kt, ka, kb).
-        bias: optional (out_c,) vector added per output channel.
-        strides: (temporal, spatial a, spatial b), each >= 1.
-        padding: symmetric zero padding per axis.
+        weights: finite array (out_c, in_c, kt, ka, kb), every extent >= 1.
+        bias: optional finite (out_c,) vector added per output channel.
+        strides: (temporal, spatial a, spatial b), integers >= 1.
+        padding: symmetric zero padding per axis, integers >= 0.
 
     Returns:
         VoxelEmbedding with extents floor((in + 2 pad - kernel)/stride) + 1.
@@ -105,37 +134,44 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 5:
         raise DomainError("conv weights must be 5D (out_c, in_c, kt, ka, kb)")
+    if min(w.shape) < 1:
+        raise DomainError(f"conv weight extents must all be >= 1, got {w.shape}")
     if w.shape[1] != eps.kappa:
         raise DomainError(f"weights expect {w.shape[1]} input channels, embedding has {eps.kappa}")
-    st, sa, sb = (int(s) for s in strides)
-    pt, pa, pb = (int(p) for p in padding)
+    if not np.isfinite(w).all():
+        raise DomainError("conv weights must be finite")
+    co, ci, kt, ka, kb = w.shape
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        if bias.shape != (co,):
+            raise DomainError(f"conv bias must have shape ({co},), got {bias.shape}")
+        if not np.isfinite(bias).all():
+            raise DomainError("conv bias must be finite")
+    st, sa, sb = _int_triple(strides, "strides")
+    pt, pa, pb = _int_triple(padding, "padding")
     if min(st, sa, sb) < 1 or min(pt, pa, pb) < 0:
         raise DomainError("strides must be >= 1 and padding >= 0")
 
     xp = np.pad(eps.data, ((pt, pt), (0, 0), (pa, pa), (pb, pb)))
     t_in, _, a_in, b_in = xp.shape
-    co, _, kt, ka, kb = w.shape
     if kt > t_in or ka > a_in or kb > b_in:
         raise DomainError("kernel larger than the padded input")
-    t_out = (t_in - kt) // st + 1
-    a_out = (a_in - ka) // sa + 1
-    b_out = (b_in - kb) // sb + 1
+    # (t_out, ci, a_out, b_out, kt, ka, kb) -> (t_out, ci, kt, ka, kb, a_out, b_out)
+    windows = sliding_window_view(xp, (kt, ka, kb), axis=(0, 2, 3))[::st, :, ::sa, ::sb]
+    patches = windows.transpose(0, 1, 4, 5, 6, 2, 3)
+    t_out, a_out, b_out = patches.shape[0], patches.shape[5], patches.shape[6]
 
-    out = np.zeros((t_out, a_out, b_out, co))
-    for dt in range(kt):
-        xt = xp[dt : dt + (t_out - 1) * st + 1 : st]
-        for da in range(ka):
-            for db in range(kb):
-                xs = xt[
-                    :,
-                    :,
-                    da : da + (a_out - 1) * sa + 1 : sa,
-                    db : db + (b_out - 1) * sb + 1 : sb,
-                ]  # (t_out, in_c, a_out, b_out)
-                out += np.tensordot(xs, w[:, :, dt, da, db], axes=([1], [1]))
-    out = np.moveaxis(out, 3, 1)
+    cols = a_out * b_out
+    frames = max(1, min(t_out, _CHUNK_COLUMNS // cols))
+    buf = np.empty((frames,) + patches.shape[1:])
+    wmat = w.reshape(co, ci * kt * ka * kb)
+    out = np.empty((t_out, co, a_out, b_out))
+    for t0 in range(0, t_out, frames):
+        n = min(frames, t_out - t0)
+        np.copyto(buf[:n], patches[t0 : t0 + n])
+        np.matmul(wmat, buf[:n].reshape(n, -1, cols), out=out[t0 : t0 + n].reshape(n, co, cols))
     if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)[None, :, None, None]
+        out += bias[None, :, None, None]
     return VoxelEmbedding(out)
 
 

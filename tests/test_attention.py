@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from physfactor.attention import (
     AttentionConfig,
@@ -122,6 +125,50 @@ def test_csim_map_values():
         csim_map(VoxelEmbedding(data), np.zeros(40))
     with pytest.raises(DomainError):
         csim_map(VoxelEmbedding(data), y[:-1])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def embedding_and_target(draw):
+    t = draw(st.integers(1, 12))
+    shape = (t,) + tuple(draw(st.integers(1, 3)) for _ in range(3))
+    data = draw(arrays(np.float64, shape, elements=finite))
+    target = draw(arrays(np.float64, t, elements=finite))
+    return data, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedding_and_target())
+def test_csim_map_stays_in_unit_interval(case):
+    data, target = case
+    assume(np.any(target != 0.0))
+    cs = csim_map(VoxelEmbedding(data), target)
+    assert cs.shape == data.shape[1:]
+    assert np.all((cs >= 0.0) & (cs <= 1.0))
+
+
+def test_csim_map_extreme_scales():
+    y = np.array([1.0, -2.0, 0.5])
+    for scale in (1e300, 1e-320):
+        data = (scale * np.array([1.0, -2.0, 0.5, 2.0, 1.0, 0.0])).reshape(2, 3, 1, 1).transpose(1, 0, 2, 3)
+        cs = csim_map(VoxelEmbedding(data), y)
+        assert cs[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= cs[1, 0, 0] < 1.0
+    tiny = csim_map(VoxelEmbedding(y.reshape(3, 1, 1, 1)), 1e-320 * y)
+    assert tiny[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_csim_map_rejects_non_finite(bad):
+    data = np.ones((4, 1, 2, 2))
+    y = np.arange(4.0)
+    with pytest.raises(DomainError, match="finite"):
+        csim_map(VoxelEmbedding(data.copy()), np.where(y == 2, bad, y))
+    data[1, 0, 1, 1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        csim_map(VoxelEmbedding(data), y)
 
 
 def test_tsfm_span_property():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from physfactor import network
 from physfactor.attention import AttentionConfig
 from physfactor.errors import DomainError
 from physfactor.network import (
@@ -41,6 +44,39 @@ def _naive_conv3d(x, w, bias, strides, padding):
                                     )
                     out[t, o, a, b] = acc + bias[o]
     return out
+
+
+def _conv3d_taps(eps, w, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)):
+    # the loop over kernel taps that conv3d_forward replaced, one
+    # tensordot over the input channels per tap; kept as the oracle
+    st, sa, sb = strides
+    pt, pa, pb = padding
+    xp = np.pad(eps.data, ((pt, pt), (0, 0), (pa, pa), (pb, pb)))
+    t_in, _, a_in, b_in = xp.shape
+    co, _, kt, ka, kb = w.shape
+    t_out = (t_in - kt) // st + 1
+    a_out = (a_in - ka) // sa + 1
+    b_out = (b_in - kb) // sb + 1
+    out = np.zeros((t_out, a_out, b_out, co))
+    for dt in range(kt):
+        xt = xp[dt : dt + (t_out - 1) * st + 1 : st]
+        for da in range(ka):
+            for db in range(kb):
+                xs = xt[
+                    :,
+                    :,
+                    da : da + (a_out - 1) * sa + 1 : sa,
+                    db : db + (b_out - 1) * sb + 1 : sb,
+                ]  # (t_out, in_c, a_out, b_out)
+                out += np.tensordot(xs, w[:, :, dt, da, db], axes=([1], [1]))
+    out = np.moveaxis(out, 3, 1)
+    if bias is not None:
+        out = out + np.asarray(bias, dtype=np.float64)[None, :, None, None]
+    return VoxelEmbedding(out)
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), np.finfo(float).tiny)
 
 
 def test_conv3d_identity_kernel():
@@ -84,6 +120,87 @@ def test_conv3d_channel_mismatch():
     w = np.zeros((1, 3, 1, 1, 1))
     with pytest.raises(DomainError):
         conv3d_forward(x, w)
+
+
+@st.composite
+def conv_cases(draw):
+    ci = draw(st.integers(1, 12))
+    co = draw(st.integers(1, 12))
+    kernel = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    strides = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    padding = tuple(draw(st.integers(0, 2)) for _ in range(3))
+    # each input extent at least its kernel minus the padding, so the
+    # kernel fits the padded input
+    t = draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 30))
+    a = draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 28))
+    b = draw(st.integers(max(1, kernel[2] - 2 * padding[2]), 28))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(t, ci, a, b))
+    w = rng.normal(size=(co, ci) + kernel)
+    bias = rng.normal(size=co) if draw(st.booleans()) else None
+    return x, w, bias, strides, padding
+
+
+def _case(t, ci, a, b, co, kernel=(3, 3, 3), strides=(1, 1, 1), padding=(1, 1, 1), seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(t, ci, a, b)), rng.normal(size=(co, ci) + kernel),
+            rng.normal(size=co), strides, padding)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_cases())
+# 5x5 output pixels: several frames per chunk, 23 frames leave a partial one
+@example(_case(23, 4, 5, 5, 6))
+# 26x26 = 676 output pixels, more than one chunk holds; one frame each
+@example(_case(7, 3, 26, 26, 5, kernel=(2, 4, 3), padding=(0, 2, 1)))
+def test_conv3d_matches_tap_loop(case):
+    x, w, bias, strides, padding = case
+    got = conv3d_forward(VoxelEmbedding(x), w, bias, strides, padding)
+    want = _conv3d_taps(VoxelEmbedding(x), w, bias, strides, padding)
+    assert got.shape == want.shape
+    assert _rel_err(got.data, want.data) <= 1e-12
+
+
+def test_conv3d_examples_straddle_the_chunk():
+    # the explicit examples above must keep covering a partial last
+    # chunk and an output frame wider than one chunk
+    frames = network._CHUNK_COLUMNS // 25
+    assert frames > 1 and 23 % frames != 0
+    assert 26 * 26 > network._CHUNK_COLUMNS
+
+
+def test_forward_matches_tap_loop_forward(monkeypatch):
+    cfg = ModelConfig(seed=4)
+    clip = gen_clip(8, 72, 3, seed=12)
+    pulse, resp = forward_multitask(clip, None, cfg)
+    monkeypatch.setattr(network, "conv3d_forward", _conv3d_taps)
+    pulse_taps, resp_taps = forward_multitask(clip, None, cfg)
+    assert _rel_err(pulse.samples, pulse_taps.samples) <= 1e-12
+    assert _rel_err(resp.samples, resp_taps.samples) <= 1e-12
+
+
+@pytest.mark.parametrize("weights, bias", [
+    (np.full((2, 2, 3, 3, 3), np.nan), None),
+    (np.ones((2, 2, 3, 3, 3)), np.array([0.0, np.inf])),
+    (np.ones((2, 2, 3, 3, 3)), np.array([0.5])),            # not broadcast
+    (np.ones((2, 2, 3, 3, 3)), np.zeros(3)),
+    (np.ones((3, 2, 0, 3, 3)), None),                       # zero-extent kernel
+], ids=["nan-weights", "inf-bias", "length-1-bias", "wrong-length-bias", "zero-extent-kernel"])
+def test_conv3d_rejects_bad_weights_and_bias(weights, bias):
+    x = VoxelEmbedding(np.ones((5, 2, 4, 4)))
+    with pytest.raises(DomainError):
+        conv3d_forward(x, weights, bias, padding=(1, 1, 1))
+
+
+@pytest.mark.parametrize("strides, padding", [
+    ((1.7, 1, 1), (0, 0, 0)),
+    ((1, 1, 1), (0.5, 0, 0)),
+    ((1, 1), (0, 0, 0)),
+], ids=["float-stride", "float-padding", "two-strides"])
+def test_conv3d_requires_integer_triples(strides, padding):
+    x = VoxelEmbedding(np.ones((5, 2, 4, 4)))
+    with pytest.raises(DomainError):
+        conv3d_forward(x, np.ones((1, 2, 1, 1, 1)), None, strides, padding)
 
 
 def _small_cfg(**kw):

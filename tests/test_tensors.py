@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from physfactor.errors import DomainError
 from physfactor.tensors import (
@@ -41,6 +44,15 @@ def test_round_trip_random_shapes():
         eps = VoxelEmbedding(rng.normal(size=shape))
         back = unflatten_to_voxel(flatten_to_matrix(eps), shape)
         assert np.array_equal(back.data, eps.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=4, max_dims=4, max_side=6), elements=st.floats(width=64)))
+def test_round_trip_is_bitwise(data):
+    # any float64 pattern, NaN payloads and signed zeros included
+    eps = VoxelEmbedding(data)
+    back = unflatten_to_voxel(flatten_to_matrix(eps), data.shape)
+    assert back.data.tobytes() == data.tobytes()
 
 
 def test_unflatten_examples():
