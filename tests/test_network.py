@@ -151,7 +151,7 @@ def _case(t, ci, a, b, co, kernel=(3, 3, 3), strides=(1, 1, 1), padding=(1, 1, 1
 @given(conv_cases())
 # 5x5 output pixels: several frames per chunk, 23 frames leave a partial one
 @example(_case(23, 4, 5, 5, 6))
-# 26x26 = 676 output pixels, more than one chunk holds; one frame each
+# 27x26 = 702 output pixels, more than one chunk holds; one frame each
 @example(_case(7, 3, 26, 26, 5, kernel=(2, 4, 3), padding=(0, 2, 1)))
 def test_conv3d_matches_tap_loop(case):
     x, w, bias, strides, padding = case
@@ -166,7 +166,7 @@ def test_conv3d_examples_straddle_the_chunk():
     # chunk and an output frame wider than one chunk
     frames = network._CHUNK_COLUMNS // 25
     assert frames > 1 and 23 % frames != 0
-    assert 26 * 26 > network._CHUNK_COLUMNS
+    assert 27 * 26 > network._CHUNK_COLUMNS
 
 
 def test_forward_matches_tap_loop_forward(monkeypatch):
@@ -182,9 +182,9 @@ def test_forward_matches_tap_loop_forward(monkeypatch):
 @pytest.mark.parametrize("weights, bias", [
     (np.full((2, 2, 3, 3, 3), np.nan), None),
     (np.ones((2, 2, 3, 3, 3)), np.array([0.0, np.inf])),
-    (np.ones((2, 2, 3, 3, 3)), np.array([0.5])),            # not broadcast
+    (np.ones((2, 2, 3, 3, 3)), np.array([0.5])),
     (np.ones((2, 2, 3, 3, 3)), np.zeros(3)),
-    (np.ones((3, 2, 0, 3, 3)), None),                       # zero-extent kernel
+    (np.ones((3, 2, 0, 3, 3)), None),
 ], ids=["nan-weights", "inf-bias", "length-1-bias", "wrong-length-bias", "zero-extent-kernel"])
 def test_conv3d_rejects_bad_weights_and_bias(weights, bias):
     x = VoxelEmbedding(np.ones((5, 2, 4, 4)))
