@@ -10,6 +10,17 @@ normalized target signal column (target-signal constraint).
 
 Solutions are not unique, so both solvers are seeded and deterministic:
 same input, rank, iterations and seed gives bitwise identical factors.
+
+Both grbf stages skip the bank's exact zeros. `grbf_basis` evaluates
+each bump only within `reach` rows of its centre; further out the
+Gaussian underflows to 0.0, so the dense bank is bitwise the full
+formula's. `constrained_nmf_mu` cuts the basis into row blocks of
+`_BLOCK_ROWS` rows, each with the span of columns that holds its
+non-zero entries (`_row_blocks`). B^T B and B^T V accumulate block by
+block over those spans, and each sweep forms B P one block at a time.
+A basis of at most `_BLOCK_ROWS` rows is one block over every column,
+so its results are those of the dense products bit for bit; taller
+bases agree with them within rounding.
 """
 
 from dataclasses import dataclass
@@ -23,6 +34,14 @@ from .tensors import EmbeddingMatrix, Waveform
 # fixed points visibly, large enough to keep zero columns from dividing
 # by zero.
 DENOM_GUARD = 1e-6
+
+# Rows per block of a constraint basis in constrained_nmf_mu.
+_BLOCK_ROWS = 128
+
+# exp(-x) rounds to 0.0 in float64 for every x above about 745.13 (half
+# the smallest subnormal), so a bump is exactly zero where
+# d^2 / (2 sigma^2) exceeds this.
+_EXP_ZERO_ARG = 746.0
 
 
 @dataclass(frozen=True)
@@ -162,15 +181,44 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0, guard=DENOM_GUARD):
     if rank < 1:
         raise DomainError("rank must be >= 1")
 
-    btb = b.T @ b          # (k, k)
-    btv = b.T @ a          # (k, n)
+    blocks = [(rows, cols, b[rows, cols]) for rows, cols in _row_blocks(b)]
+    k = b.shape[1]
+    btb = np.zeros((k, k))
+    btv = np.zeros((k, a.shape[1]))
+    for rows, cols, blk in blocks:
+        btb[cols, cols] += blk.T @ blk
+        btv[cols] += blk.T @ a[rows]
+    bp = np.empty((b.shape[0], rank))
 
     def sweep(p, q):
         p *= (btv @ q.T) / (btb @ p @ q @ q.T + guard)
         q *= (p.T @ btv) / (p.T @ btb @ p @ q + guard)
-        return b @ p @ q
+        for rows, cols, blk in blocks:
+            np.matmul(blk, p[cols], out=bp[rows])
+        return bp @ q
 
-    return _run_mu(a, b.shape[1], rank, iterations, seed, sweep)
+    return _run_mu(a, k, rank, iterations, seed, sweep)
+
+
+def _row_blocks(b):
+    """Cut the rows of an M x K basis into blocks of _BLOCK_ROWS rows.
+
+    Returns (rows, cols) slice pairs, one per block: cols spans the
+    first to the last column with a non-zero entry in those rows (empty
+    for an all-zero block), so every non-zero entry of b lies in some
+    b[rows, cols]. A basis of at most _BLOCK_ROWS rows is a single block
+    over every column, which keeps its products those of the whole
+    matrix.
+    """
+    m, k = b.shape
+    if m <= _BLOCK_ROWS:
+        return [(slice(0, m), slice(0, k))]
+    blocks = []
+    for r0 in range(0, m, _BLOCK_ROWS):
+        rows = slice(r0, min(r0 + _BLOCK_ROWS, m))
+        nz = np.flatnonzero(b[rows].any(axis=0))
+        blocks.append((rows, slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)))
+    return blocks
 
 
 def grbf_basis(m, sigma, delta_t):
@@ -178,7 +226,12 @@ def grbf_basis(m, sigma, delta_t):
 
     Entry (row, k) = exp(-(row - k*delta_t)^2 / (2 sigma^2)) with
     k = 0..K-1 and K = floor((m - 1)/delta_t) + 1, so the last center
-    still falls inside the signal.
+    still falls inside the signal. sigma must be positive and finite
+    with 2 sigma^2 finite and non-zero in float64.
+
+    Only the rows within reach = ceil(sigma sqrt(2 * 746)) of a centre
+    are evaluated; further out the entry underflows to exactly 0.0, so
+    phi is bitwise the dense formula's.
     """
     m = int(m)
     delta_t = int(delta_t)
@@ -186,12 +239,22 @@ def grbf_basis(m, sigma, delta_t):
         raise DomainError(f"grbf_basis needs m >= 2, got {m}")
     if delta_t < 1:
         raise DomainError(f"grbf_basis needs delta_t >= 1, got {delta_t}")
-    if not sigma > 0:
-        raise DomainError(f"grbf_basis needs sigma > 0, got {sigma}")
+    with np.errstate(over="ignore"):    # an overflow to inf is rejected below
+        two_var = 2.0 * np.float64(sigma) ** 2
+    if not (0 < sigma < np.inf and 0 < two_var < np.inf):
+        raise DomainError(f"grbf_basis needs sigma > 0 with a finite, non-zero 2 sigma^2, got {sigma}")
     k = (m - 1) // delta_t + 1
-    rows = np.arange(m)[:, None]
-    centers = np.arange(k)[None, :] * delta_t
-    phi = np.exp(-((rows - centers) ** 2) / (2.0 * sigma ** 2))
+    # beyond reach rows from its centre a bump is exactly 0.0, so one
+    # profile over -reach..reach, placed at every centre, is the bank
+    reach = int(min(m - 1, np.ceil(sigma * np.sqrt(2.0 * _EXP_ZERO_ARG))))
+    d = np.arange(-reach, reach + 1)
+    with np.errstate(over="ignore"):    # d^2 / 2 sigma^2 -> inf gives exp -> 0
+        profile = np.exp(-(d * d) / two_var)
+    phi = np.zeros((m, k))
+    for j in range(k):
+        c = j * delta_t
+        lo, hi = max(c - reach, 0), min(c + reach + 1, m)
+        phi[lo:hi, j] = profile[lo - c + reach:hi - c + reach]
     phi.flags.writeable = False
     return GrbfBasis(phi, float(sigma), delta_t, k)
 

@@ -4,6 +4,11 @@ Voxel embeddings are 4D arrays indexed [t, c, a, b] (time, channel, two
 spatial axes). The factorization solvers operate on a 2D view where time
 maps to rows and the (c, a, b) triple maps to columns in row-major
 order, so flatten/unflatten are exact inverses by construction.
+
+The containers hold read-only views. An input that is already a
+C-contiguous float64 array is not copied: the container's view cannot
+write to it, but the caller's own array stays writeable, and what the
+caller writes there shows through the view.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,8 @@ from .errors import DomainError
 
 
 def _freeze(arr, ndim, name):
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+    # a view, so that clearing its flag leaves the caller's array writeable
+    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64)).view()
     if a.ndim != ndim:
         raise DomainError(f"{name} expects a {ndim}D array, got ndim={a.ndim}")
     if min(a.shape) < 1:
@@ -25,7 +31,8 @@ def _freeze(arr, ndim, name):
 
 @dataclass(frozen=True)
 class VoxelEmbedding:
-    """Immutable 4D embedding with axes (tau, kappa, alpha, beta)."""
+    """Immutable 4D embedding with axes (tau, kappa, alpha, beta); data
+    is read-only (a C-contiguous float64 input is not copied)."""
 
     data: np.ndarray
 
@@ -55,7 +62,8 @@ class VoxelEmbedding:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Immutable 2D matrix, rows = time, columns = flattened features."""
+    """Immutable 2D matrix, rows = time, columns = flattened features;
+    data is read-only (a C-contiguous float64 input is not copied)."""
 
     data: np.ndarray
 
@@ -77,7 +85,8 @@ class VideoClip:
 
     Channel count is restricted to 1 (thermal), 3 (RGB) or 4 (RGB plus
     thermal), and the spatial extents must be square with side 9, 36 or
-    72. Values live in [0, 1].
+    72. Values live in [0, 1]. data is read-only (a C-contiguous float64
+    input is not copied).
     """
 
     data: np.ndarray
@@ -112,13 +121,14 @@ class VideoClip:
 
 @dataclass(frozen=True)
 class Waveform:
-    """A sampled 1D signal with its sampling rate in Hz."""
+    """A sampled 1D signal with its sampling rate in Hz; samples is
+    read-only (a C-contiguous float64 input is not copied)."""
 
     samples: np.ndarray
     fs: float
 
     def __post_init__(self):
-        s = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64))
+        s = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64)).view()
         if s.ndim != 1 or s.size == 0:
             raise DomainError("Waveform needs a non-empty 1D sample vector")
         if not 0 < self.fs < np.inf:

@@ -184,6 +184,15 @@ def test_factorize_tsfm_with_target(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["variant"] == "tsfm"
 
 
+def test_factorize_rejects_infinite_grbf_sigma(capsys):
+    # an infinite sigma made an all-ones bank and exited 0
+    rc = main(["factorize", "--demo-shape", "32,16", "--variant", "grbf",
+               "--grbf-sigma", "inf"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "sigma" in captured.err and captured.out == ""
+
+
 def test_factorize_ragged_matrix(tmp_path, capsys):
     mat = tmp_path / "mat.csv"
     mat.write_text("1,2,3\n4,5\n")

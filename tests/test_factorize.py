@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from physfactor.errors import DomainError
 from physfactor.factorize import (
+    _BLOCK_ROWS,
     DENOM_GUARD,
+    _row_blocks,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,
@@ -150,6 +152,14 @@ def test_grbf_preconditions():
         grbf_basis(8, 0.0, 1)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, 1e-170, 1e200])
+def test_grbf_rejects_unrepresentable_sigma(sigma):
+    # inf gave an all-ones bank, 1e-170 (2 sigma^2 underflows to 0) gave
+    # NaN at the centres, 1e200 (2 sigma^2 overflows) a bare OverflowError
+    with pytest.raises(DomainError, match="sigma"):
+        grbf_basis(8, sigma, 1)
+
+
 def test_target_basis_example():
     tc = target_basis([-1.0, 0.0, 1.0], 3, floor=1e-3)
     assert tc.basis.shape == (3, 1)
@@ -287,6 +297,81 @@ def test_constrained_nmf_mu_matches_unshared_loop(problem):
     a, scale, b, rank, iterations, seed = problem
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
     _assert_matches_loop(res, _constrained_nmf_mu_loop(a, b, rank, iterations, seed), a, scale)
+
+
+# ------------------------------------------- oracle: the dense bank and solve
+
+# The bump bank as it was built before it skipped its exact zeros: every
+# entry evaluated. The banded bank must equal it bit for bit.
+
+
+def _grbf_basis_dense(m, sigma, delta_t):
+    k = (m - 1) // delta_t + 1
+    rows = np.arange(m)[:, None]
+    centers = np.arange(k)[None, :] * delta_t
+    return np.exp(-((rows - centers) ** 2) / (2.0 * sigma ** 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_grbf_basis_matches_dense_formula(data):
+    m = data.draw(st.integers(2, 600))
+    sigma = data.draw(st.one_of(st.sampled_from((1e-3, 1e3)), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)))
+    delta_t = data.draw(st.integers(1, m))
+    phi = grbf_basis(m, sigma, delta_t).phi
+    assert not phi.flags.writeable
+    assert phi.dtype == np.float64 and phi.flags.c_contiguous
+    assert np.array_equal(phi, _grbf_basis_dense(m, sigma, delta_t))
+
+
+@st.composite
+def tall_bases(draw, min_rows=2):
+    """A non-negative basis of more than one row block: a grbf bank, a
+    target column, or a random matrix with runs of zero rows (long
+    enough, at times, to empty whole blocks)."""
+    m = draw(st.integers(min_rows, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("grbf", "target", "random")))
+    if kind == "grbf":
+        sigma = draw(st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e))
+        return grbf_basis(m, sigma, draw(st.integers(1, max(1, m // 4)))).phi
+    if kind == "target":
+        return target_basis(rng.random(m), m).basis
+    b = rng.random((m, draw(st.integers(1, 24))))
+    b[rng.random(b.shape) < draw(st.sampled_from((0.0, 0.5)))] = 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        start = rng.integers(m)
+        b[start:start + rng.integers(1, 2 * _BLOCK_ROWS)] = 0.0
+    return b
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constrained_nmf_mu_blocks_match_dense_loop(data):
+    b = data.draw(tall_bases(min_rows=_BLOCK_ROWS + 1))
+    m = b.shape[0]
+    a, _ = _nonneg(data.draw, (m, data.draw(st.integers(1, 24))))
+    rank, iterations = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    res = constrained_nmf_mu(a, b, rank, iterations, seed)
+    w, h, low, trace = _constrained_nmf_mu_loop(a, b, rank, iterations, seed)
+    for got, want in ((res.factors.w, w), (res.factors.h, h), (res.low_rank, low)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(res.error_trace - trace)) <= 1e-12 * np.linalg.norm(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_blocks_cover_every_non_zero_entry(data):
+    b = data.draw(st.one_of(tall_bases(), tall_bases(min_rows=_BLOCK_ROWS + 1)))
+    covered = np.zeros(b.shape, dtype=bool)
+    next_row = 0
+    for rows, cols in _row_blocks(b):
+        assert rows.start == next_row and rows.stop - rows.start <= _BLOCK_ROWS
+        next_row = rows.stop
+        covered[rows, cols] = True
+    assert next_row == b.shape[0]
+    assert not np.any((b != 0) & ~covered)
 
 
 @pytest.mark.xfail(strict=True, reason="the 1e-6 guard outweighs entries near its scale and the MU trace rises")

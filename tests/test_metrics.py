@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +20,7 @@ from physfactor.metrics import (
     snr,
     split_windows,
 )
-from physfactor.synth import gen_pulse
+from physfactor.synth import gen_pulse, gen_resp
 from physfactor.tensors import Waveform
 
 
@@ -447,3 +449,23 @@ def test_evaluate_windows_fs_mismatch():
     b = gen_pulse(30.0, 72.0, 40.0)
     with pytest.raises(DomainError):
         evaluate_windows(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("hr", "rr")), windows=st.integers(3, 5), seed=st.integers(0, 2**32 - 1),
+       noise=st.floats(0.05, 0.5), shift=st.floats(-1e3, 1e3))
+def test_evaluate_windows_ignores_a_common_dc_shift(kind, windows, seed, noise, shift):
+    # unit-amplitude signals with one rate per 30 s window; adding the
+    # same constant to prediction and ground truth moves no report field
+    gen, lo, hi = (gen_pulse, 55.0, 110.0) if kind == "hr" else (gen_resp, 8.0, 24.0)
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(lo, hi, windows)
+    gt = np.concatenate([gen(FS, r, 30.0, 0.3).samples for r in rates])
+    pred = np.concatenate([gen(FS, r, 30.0, 0.3, noise, seed=i).samples for i, r in enumerate(rates)])
+    base = evaluate_windows(Waveform(pred, FS), Waveform(gt, FS), kind).as_dict()
+    moved = evaluate_windows(Waveform(pred + shift, FS), Waveform(gt + shift, FS), kind).as_dict()
+    assert set(moved) == set(base) and moved["n"] == base["n"]
+    for field in set(base) - {"n"}:
+        for part in ("avg", "se"):
+            assert math.isclose(moved[field][part], base[field][part], rel_tol=1e-9, abs_tol=1e-12), (field, part)
+

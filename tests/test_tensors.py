@@ -168,3 +168,23 @@ def test_waveform_rejects_non_finite_samples(bad):
     x[7] = bad
     with pytest.raises(DomainError, match="index 7"):
         Waveform(x, 25.0)
+
+
+
+@pytest.mark.parametrize("make, shape, field", [
+    (VoxelEmbedding, (2, 1, 2, 2), "data"),
+    (EmbeddingMatrix, (2, 4), "data"),
+    (VideoClip, (2, 3, 9, 9), "data"),
+    (lambda a: Waveform(a, 25.0), (8,), "samples"),
+])
+def test_containers_leave_the_callers_array_writeable(make, shape, field):
+    # C-contiguous float64 input is wrapped without a copy; only the
+    # container's view is read-only
+    a = np.zeros(shape)
+    held = getattr(make(a), field)
+    assert a.flags.writeable
+    assert np.shares_memory(held, a)
+    a.flat[0] = 0.5
+    assert held.flat[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        held.flat[0] = 1.0
