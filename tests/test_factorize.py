@@ -326,9 +326,9 @@ def test_grbf_basis_matches_dense_formula(data):
 
 @st.composite
 def tall_bases(draw, min_rows=2):
-    """A non-negative basis of more than one row block: a grbf bank, a
+    """A non-negative basis of min_rows to 600 rows: a grbf bank, a
     target column, or a random matrix with runs of zero rows (long
-    enough, at times, to empty whole blocks)."""
+    enough, at times, to empty whole row blocks)."""
     m = draw(st.integers(min_rows, 600))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(("grbf", "target", "random")))
