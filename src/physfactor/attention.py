@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DomainError
 from .factorize import (
-    DENOM_GUARD,
     FactorizationResult,
     constrained_nmf_mu,
     grbf_basis,
@@ -55,7 +54,6 @@ class AttentionConfig:
     variant: str = "fsam"
     rank: int = 8
     iterations: int = 4
-    epsilon: float = DENOM_GUARD
     grbf_sigma: float | None = None
     grbf_delta_t: int | None = None
     pre_mix: np.ndarray | None = None
@@ -119,14 +117,14 @@ def solve(v, cfg, target=None):
         FactorizationResult (factors, low-rank product, error trace).
     """
     if cfg.variant == "fsam":
-        return nmf_mu(v, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
+        return nmf_mu(v, cfg.rank, cfg.iterations, cfg.seed)
     if cfg.variant == "grbf":
         basis = grbf_basis(v.m, cfg.grbf_sigma, cfg.grbf_delta_t).phi
     elif target is None:
         raise DomainError("tsfm needs a target signal")
     else:
         basis = target_basis(target, v.m).basis
-    return constrained_nmf_mu(v, basis, cfg.rank, cfg.iterations, cfg.seed, guard=cfg.epsilon)
+    return constrained_nmf_mu(v, basis, cfg.rank, cfg.iterations, cfg.seed)
 
 
 def compute_attention(eps, cfg, target=None):

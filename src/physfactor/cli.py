@@ -172,7 +172,7 @@ def cmd_attend(args):
     else:
         shape = _parse_shape(args.shape, 4, "--shape")
         tau = shape[0]
-        pulse = synth.gen_pulse(args.fs, args.rate, tau / args.fs, 0.0, 0.0, cfg.seed)
+        pulse = synth.gen_pulse(args.fs, args.rate, tau / synth.check_fs(args.fs), 0.0, 0.0, cfg.seed)
         rng = np.random.default_rng(cfg.seed)
         coords = [
             (c, a, b)

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .attention import AttentionConfig
-from .errors import InputFormatError
+from .errors import DomainError, InputFormatError
 from .metrics import RateBand
 from .network import ConvBlockSpec, ModelConfig
 
@@ -25,6 +25,7 @@ _DEFAULTS = {
         "variant": ("fsam", str),
         "rank": ("8", int),
         "iterations": ("4", int),
+        # no solver reads epsilon any more; perfbench still reads cfg.epsilon
         "epsilon": ("1e-06", float),
         "grbf_sigma": ("2.0", float),
         "grbf_delta_t": ("4", int),
@@ -121,7 +122,6 @@ class RunConfig:
             variant=variant or self.variant,
             rank=self.rank,
             iterations=self.iterations,
-            epsilon=self.epsilon,
             grbf_sigma=self.grbf_sigma,
             grbf_delta_t=self.grbf_delta_t,
             seed=self.seed,
@@ -157,6 +157,8 @@ def _build(values, seed_override=None):
     }
     if seed_override is not None:
         parsed["seed"] = int(seed_override)
+    if parsed["seed"] < 0:
+        raise DomainError(f"seed must be >= 0, got {parsed['seed']}")
     if len(parsed["rsp_channels"]) != len(parsed["rsp_temporal_strides"]):
         raise InputFormatError("[model] rsp_channels and rsp_temporal_strides must have equal length")
     for kind in ("hr", "rr"):
@@ -168,7 +170,8 @@ def load_run_config(path=None, seed_override=None):
     """Load a RunConfig from an INI file, the environment-pointed file,
     or pure defaults when neither is given.
 
-    Unknown sections or keys raise InputFormatError.
+    Unknown sections or keys raise InputFormatError, a negative seed
+    DomainError.
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None

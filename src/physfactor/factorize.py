@@ -8,6 +8,24 @@ reconstruction stays inside the column span of B. The basis can be a
 bank of Gaussian radial bumps (smoothness constraint) or a single
 normalized target signal column (target-signal constraint).
 
+Every update is the plain Lee & Seung (2001) step x <- x * num / den,
+with no additive guard, so each sweep is a majorize-minimize step and
+the error trace does not rise beyond rounding. An entry whose
+denominator is 0 becomes 0 (0/0 -> 0); in exact arithmetic its
+numerator is then 0 too, or the entry already is.
+
+The update is scale-free: V -> c V multiplies one factor by c and
+leaves the other unchanged. The solvers divide V by 2^e, the power of
+two at or below its largest entry, to keep the intermediates in range;
+a basis likewise, unless its largest entry already lies in [1, 2) (the
+grbf bank and the default target basis peak at exactly 1.0, so they
+are not copied). After the sweeps the low-rank product, the error trace
+and the factor each sweep updates first (H in `nmf_mu`, P in
+`constrained_nmf_mu`) are multiplied back by 2^e. Power-of-two scaling
+is exact, so away from over- and underflow the results are bit for bit
+those of the unscaled update, and solver(2^k V) is exactly
+2^k solver(V).
+
 Solutions are not unique, so both solvers are seeded and deterministic:
 same input, rank, iterations and seed gives bitwise identical factors.
 
@@ -23,17 +41,13 @@ so its results are those of the dense products bit for bit; taller
 bases agree with them within rounding.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .tensors import EmbeddingMatrix, Waveform
-
-# Additive guard in every update denominator. Small enough not to move
-# fixed points visibly, large enough to keep zero columns from dividing
-# by zero.
-DENOM_GUARD = 1e-6
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
 _BLOCK_ROWS = 128
@@ -83,29 +97,67 @@ class FactorizationResult:
 
 
 def _check_nonneg(a, name):
+    """Reject a negative or non-finite entry. Returns the exponent e of
+    2^e, the power of two at or below the largest entry (0 for a zero
+    matrix)."""
+    amax = a.max()
     # written so that NaN fails the comparison
-    if not a.min() >= 0 or a.max() == np.inf:
+    if not a.min() >= 0 or amax == np.inf:
         raise DomainError(f"{name} must be non-negative and finite")
+    return int(np.frexp(amax)[1]) - 1 if amax > 0 else 0
+
+
+def _shift(a, e):
+    """a * 2^e, rounded once; a itself when e is 0."""
+    return np.ldexp(a, e) if e else a
 
 
 def _nonneg_matrix(v, name):
+    """The input as a float64 matrix divided by 2^e (see _check_nonneg),
+    and e."""
     a = v.data if isinstance(v, EmbeddingMatrix) else np.asarray(v, dtype=np.float64)
     if a.ndim != 2:
         raise DomainError(f"{name} expects a 2D matrix")
-    _check_nonneg(a, f"{name} input")
-    return a
+    e = _check_nonneg(a, f"{name} input")
+    return _shift(a, -e), e
 
 
-def _run_mu(a, inner, rank, iterations, seed, sweep):
+def _index(value, name):
+    """A Python or numpy integer; a float such as 2.5 is refused rather
+    than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _mu_step(x, num, den):
+    """The Lee & Seung update x <- x * num / den in place, with 0/0 -> 0."""
+    x *= np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+
+
+def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, ey=0):
     """Shared multiplicative-update driver.
 
-    Draws an inner x rank and a rank x N factor uniformly on (0, 1] from
-    a seeded generator, runs `iterations` sweeps and records the
-    Frobenius error of each sweep's reconstruction. sweep(x, y) updates
-    both factors in place and returns their reconstruction of `a`.
+    Checks that rank (1 <= rank <= max_rank), iterations (>= 1) and
+    seed (>= 0) are integers in range. Draws an inner x rank and a
+    rank x N factor uniformly on (0, 1] from a seeded generator, runs
+    `iterations` sweeps and records the Frobenius error of each sweep's
+    reconstruction. sweep(x, y) updates both factors in place and
+    returns their reconstruction of `a`.
+
+    `a` is the input divided by 2^e; the low-rank product and the trace
+    are multiplied back by 2^e, the factors x and y by 2^ex and 2^ey.
     """
+    rank = _index(rank, "rank")
+    iterations = _index(iterations, "iterations")
+    seed = _index(seed, "seed")
+    if not 1 <= rank <= max_rank:
+        raise DomainError(f"rank must satisfy 1 <= rank <= {max_rank}, got {rank}")
     if iterations < 1:
         raise DomainError("iterations must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x = 1.0 - rng.random((inner, rank))    # uniform on (0, 1]
     y = 1.0 - rng.random((rank, a.shape[1]))
@@ -113,73 +165,72 @@ def _run_mu(a, inner, rank, iterations, seed, sweep):
     for it in range(iterations):
         low = sweep(x, y)
         trace[it] = np.linalg.norm(a - low)
+    x, y, low, trace = _shift(x, ex), _shift(y, ey), _shift(low, e), _shift(trace, e)
     for arr in (x, y, low, trace):
         arr.flags.writeable = False
     return FactorizationResult(FactorPair(x, y, rank), low, trace, iterations, seed)
 
 
-def nmf_mu(v, rank, iterations=4, seed=0, guard=DENOM_GUARD):
+def nmf_mu(v, rank, iterations=4, seed=0):
     """Factor a non-negative matrix V into W (M x L) times H (L x N).
 
-    Updates (Frobenius objective):
-        H <- H * (W^T V) / (W^T W H + guard)
-        W <- W * (V H^T) / (W H H^T + guard)
+    Lee & Seung updates (Frobenius objective), 0/0 -> 0:
+        H <- H * (W^T V) / (W^T W H)
+        W <- W * (V H^T) / (W H H^T)
 
     Factors are initialized uniformly on (0, 1] from a seeded generator.
-    The Frobenius reconstruction error is recorded after each full
-    iteration and is non-increasing up to the guard's perturbation.
+    The sweeps run on V / 2^e, and H carries 2^e back (see the module
+    docstring). The Frobenius reconstruction error is recorded after
+    each full iteration and is non-increasing up to rounding.
 
     Args:
         v: non-negative, finite EmbeddingMatrix or 2D array.
-        rank: number of components L, 1 <= L <= min(M, N).
-        iterations: full update sweeps, >= 1.
-        seed: RNG seed for the factor init.
-        guard: additive denominator guard.
+        rank: number of components L, an integer 1 <= L <= min(M, N).
+        iterations: full update sweeps, an integer >= 1.
+        seed: RNG seed for the factor init, an integer >= 0.
 
     Returns:
         FactorizationResult with low_rank = W @ H.
     """
-    a = _nonneg_matrix(v, "nmf_mu")
+    a, e = _nonneg_matrix(v, "nmf_mu")
     m, n = a.shape
-    if not 1 <= rank <= min(m, n):
-        raise DomainError(f"rank must satisfy 1 <= rank <= min(M, N) = {min(m, n)}, got {rank}")
 
     def sweep(w, h):
-        h *= (w.T @ a) / (w.T @ w @ h + guard)
-        w *= (a @ h.T) / (w @ h @ h.T + guard)
+        _mu_step(h, w.T @ a, w.T @ w @ h)
+        _mu_step(w, a @ h.T, w @ h @ h.T)
         return w @ h
 
-    return _run_mu(a, m, rank, iterations, seed, sweep)
+    return _run_mu(a, e, m, rank, iterations, seed, sweep, max_rank=min(m, n), ey=e)
 
 
-def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0, guard=DENOM_GUARD):
+def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
     """Factor V as B P Q with B fixed and P (K x L), Q (L x N) non-negative.
 
-    Substituting W = B P into the standard updates gives
-        P <- P * (B^T V Q^T) / (B^T B P Q Q^T + guard)
-        Q <- Q * (P^T B^T V) / (P^T B^T B P Q + guard)
+    Substituting W = B P into the Lee & Seung updates gives (0/0 -> 0)
+        P <- P * (B^T V Q^T) / (B^T B P Q Q^T)
+        Q <- Q * (P^T B^T V) / (P^T B^T B P Q)
     which are valid multiplicative updates because B is non-negative.
-    Every column of the reconstruction B P Q lies in span(B).
+    Every column of the reconstruction B P Q lies in span(B). The
+    sweeps run on V / 2^e and B / 2^eb, and P carries 2^(e - eb) back
+    (see the module docstring).
 
     Args:
         v: non-negative, finite EmbeddingMatrix or 2D array (M x N).
         basis: fixed non-negative M x K matrix (bump bank or target column).
-        rank: inner rank L >= 1.
-        iterations: full update sweeps, >= 1.
-        seed: RNG seed for the factor init.
-        guard: additive denominator guard.
+        rank: inner rank L, an integer >= 1.
+        iterations: full update sweeps, an integer >= 1.
+        seed: RNG seed for the factor init, an integer >= 0.
     """
-    a = _nonneg_matrix(v, "constrained_nmf_mu")
+    a, e = _nonneg_matrix(v, "constrained_nmf_mu")
     b = np.asarray(basis, dtype=np.float64)
     if b.ndim == 1:
         b = b[:, None]
-    _check_nonneg(b, "constraint basis")
+    eb = _check_nonneg(b, "constraint basis")
     if b.shape[0] != a.shape[0]:
         raise DomainError(
             f"basis has {b.shape[0]} rows but the matrix has {a.shape[0]}"
         )
-    if rank < 1:
-        raise DomainError("rank must be >= 1")
+    b = _shift(b, -eb)
 
     blocks = [(rows, cols, b[rows, cols]) for rows, cols in _row_blocks(b)]
     k = b.shape[1]
@@ -188,16 +239,16 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0, guard=DENOM_GUARD):
     for rows, cols, blk in blocks:
         btb[cols, cols] += blk.T @ blk
         btv[cols] += blk.T @ a[rows]
-    bp = np.empty((b.shape[0], rank))
 
     def sweep(p, q):
-        p *= (btv @ q.T) / (btb @ p @ q @ q.T + guard)
-        q *= (p.T @ btv) / (p.T @ btb @ p @ q + guard)
+        _mu_step(p, btv @ q.T, btb @ p @ q @ q.T)
+        _mu_step(q, p.T @ btv, p.T @ btb @ p @ q)
+        bp = np.empty((b.shape[0], p.shape[1]))
         for rows, cols, blk in blocks:
             np.matmul(blk, p[cols], out=bp[rows])
         return bp @ q
 
-    return _run_mu(a, k, rank, iterations, seed, sweep)
+    return _run_mu(a, e, k, rank, iterations, seed, sweep, ex=e - eb)
 
 
 def _row_blocks(b):

@@ -28,6 +28,7 @@ windows, per-window rates feeding MAE/RMSE/MAPE/Corr, per-window SNR and
 MACC averaged with their standard errors.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,15 @@ def estimate_rate_fft(wave, band, pad_factor=PAD_FACTOR):
     """Rate in per-minute units from the dominant in-band FFT peak.
 
     The signal must last at least 10 s and the band must sit below the
-    Nyquist frequency.
+    Nyquist frequency. pad_factor, the zero-padding multiple of the FFT
+    length, must be an integer >= 1.
     """
+    try:
+        ok = operator.index(pad_factor) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"pad_factor must be an integer >= 1, got {pad_factor!r}")
     n = wave.samples.size
     if n / wave.fs < MIN_DURATION_S:
         raise DomainError(

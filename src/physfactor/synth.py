@@ -13,7 +13,15 @@ PULSE_RATE_RANGE = (30.0, 220.0)     # plausible heart rates, beats/min
 RESP_RATE_RANGE = (4.0, 40.0)        # plausible breathing rates, breaths/min
 
 
+def check_fs(fs):
+    """fs as a float; DomainError unless it is finite and > 0."""
+    if not 0 < fs < np.inf:
+        raise DomainError(f"sampling rate fs must be positive and finite, got {fs}")
+    return float(fs)
+
+
 def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, hi):
+    fs = check_fs(fs)
     if not lo <= rate_bpm <= hi:
         raise DomainError(f"rate {rate_bpm} outside supported range [{lo}, {hi}] per minute")
     if duration_s < 1.0:

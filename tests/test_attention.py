@@ -59,12 +59,12 @@ def test_solve_dispatches_each_variant():
     v = flatten_to_matrix(VoxelEmbedding(np.abs(_rand_eps((20, 4, 3, 3)).data)))
     y = np.sin(np.arange(20) * 0.3)
     expected = {
-        "fsam": nmf_mu(v, 3, 5, 2, guard=1e-5),
-        "grbf": constrained_nmf_mu(v, grbf_basis(20, 1.5, 3).phi, 3, 5, 2, guard=1e-5),
-        "tsfm": constrained_nmf_mu(v, target_basis(y, 20).basis, 3, 5, 2, guard=1e-5),
+        "fsam": nmf_mu(v, 3, 5, 2),
+        "grbf": constrained_nmf_mu(v, grbf_basis(20, 1.5, 3).phi, 3, 5, 2),
+        "tsfm": constrained_nmf_mu(v, target_basis(y, 20).basis, 3, 5, 2),
     }
     for variant, want in expected.items():
-        cfg = AttentionConfig(variant=variant, rank=3, iterations=5, epsilon=1e-5,
+        cfg = AttentionConfig(variant=variant, rank=3, iterations=5,
                               grbf_sigma=1.5, grbf_delta_t=3, seed=2)
         got = solve(v, cfg, y)
         assert np.array_equal(got.low_rank, want.low_rank)

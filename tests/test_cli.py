@@ -377,6 +377,34 @@ def test_config_requires_an_action(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, ini", [
+    (["factorize", "--seed", "-1"], None),
+    (["attend", "--seed", "-2"], None),
+    (["factorize"], "[rng]\nseed = -1\n"),
+    (["synth", "--fs", "nan"], None),
+    (["synth", "--fs", "inf"], None),
+    (["attend", "--fs", "0"], None),
+    (["metrics", "--fs", "25"], "[metrics]\npad_factor = 0\n"),
+], ids=["factorize-seed", "attend-seed", "config-seed", "synth-fs-nan", "synth-fs-inf", "attend-fs-0",
+        "metrics-pad-factor"])
+def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv, ini):
+    # each of these ended in a numpy or Python traceback
+    sig = tmp_path / "sig.csv"
+    _write_tone_csv(sig, [72.0])
+    argv = list(argv)
+    if argv[0] == "synth":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    if argv[0] == "metrics":
+        argv += ["--pred", str(sig), "--gt", str(sig)]
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        argv += ["--config", str(tmp_path / "run.ini")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_seed_flag_changes_factorization(capsys):
     assert main(["factorize", "--demo-shape", "16,32", "--seed", "1"]) == 0
     r1 = json.loads(capsys.readouterr().out)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from physfactor.errors import DomainError
 from physfactor.factorize import (
     _BLOCK_ROWS,
-    DENOM_GUARD,
     _row_blocks,
     constrained_nmf_mu,
     grbf_basis,
@@ -45,6 +44,23 @@ def test_nmf_preconditions():
         nmf_mu(v, rank=0)
     with pytest.raises(DomainError):
         nmf_mu(v, rank=2, iterations=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rank": 1.5},
+    {"rank": "2"},
+    {"rank": 2, "iterations": 2.5},
+    {"rank": 2, "seed": -1},
+    {"rank": 2, "seed": 1.0},
+], ids=["rank-float", "rank-str", "iterations-float", "seed-negative", "seed-float"])
+def test_solvers_reject_non_integer_counts_and_negative_seeds(kwargs):
+    # numpy used to raise a bare TypeError or ValueError for these
+    v = np.random.default_rng(0).random((4, 6))
+    b = np.random.default_rng(1).random((4, 2))
+    with pytest.raises(DomainError):
+        nmf_mu(v, **kwargs)
+    with pytest.raises(DomainError):
+        constrained_nmf_mu(v, b, **kwargs)
 
 
 def test_nmf_deterministic_and_nonnegative():
@@ -194,24 +210,29 @@ def test_solvers_reject_non_finite_input():
 # ------------------------------------------------- oracle: the unshared loops
 
 # The two solvers as they were written before they shared one driver:
-# each with its own init, sweep loop and result. The shared driver must
-# reproduce them bit for bit.
+# each with its own init, sweep loop and result, on the unscaled input
+# with the plain Lee & Seung update (0/0 -> 0). The shared driver, which
+# prescales by a power of two, must reproduce them bit for bit.
 
 
-def _nmf_mu_loop(a, rank, iterations, seed, guard=DENOM_GUARD):
+def _ratio(num, den):
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
+
+
+def _nmf_mu_loop(a, rank, iterations, seed):
     m, n = a.shape
     rng = np.random.default_rng(seed)
     w = 1.0 - rng.random((m, rank))
     h = 1.0 - rng.random((rank, n))
     trace = np.empty(iterations)
     for it in range(iterations):
-        h *= (w.T @ a) / (w.T @ w @ h + guard)
-        w *= (a @ h.T) / (w @ h @ h.T + guard)
+        h *= _ratio(w.T @ a, w.T @ w @ h)
+        w *= _ratio(a @ h.T, w @ h @ h.T)
         trace[it] = np.linalg.norm(a - w @ h)
     return w, h, w @ h, trace
 
 
-def _constrained_nmf_mu_loop(a, b, rank, iterations, seed, guard=DENOM_GUARD):
+def _constrained_nmf_mu_loop(a, b, rank, iterations, seed):
     k = b.shape[1]
     n = a.shape[1]
     rng = np.random.default_rng(seed)
@@ -221,19 +242,17 @@ def _constrained_nmf_mu_loop(a, b, rank, iterations, seed, guard=DENOM_GUARD):
     btv = b.T @ a
     trace = np.empty(iterations)
     for it in range(iterations):
-        p *= (btv @ q.T) / (btb @ p @ q @ q.T + guard)
-        q *= (p.T @ btv) / (p.T @ btb @ p @ q + guard)
+        p *= _ratio(btv @ q.T, btb @ p @ q @ q.T)
+        q *= _ratio(p.T @ btv, p.T @ btb @ p @ q)
         trace[it] = np.linalg.norm(a - b @ p @ q)
     return p, q, b @ p @ q, trace
 
 
-def _nonneg(draw, shape):
-    """A non-negative matrix at one of several scales, with a share of
-    exact zeros (whole rows, columns or scattered entries). Returns the
-    matrix and its scale."""
+def _nonneg(draw, shape, scales=(1e-3, 1.0, 1e3)):
+    """A non-negative matrix at one of `scales`, with a share of exact
+    zeros (whole rows, columns or scattered entries)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
-    a = scale * rng.random(shape)
+    a = draw(st.sampled_from(scales)) * rng.random(shape)
     zeros = draw(st.sampled_from(("none", "scattered", "row", "col", "all")))
     if zeros == "scattered":
         a[rng.random(shape) < 0.3] = 0.0
@@ -243,21 +262,21 @@ def _nonneg(draw, shape):
         a[:, rng.integers(shape[1])] = 0.0
     elif zeros == "all":
         a[:] = 0.0
-    return a, scale
+    return a
 
 
 @st.composite
-def nmf_problems(draw):
+def nmf_problems(draw, scales=(1e-3, 1.0, 1e3)):
     m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    a, scale = _nonneg(draw, (m, n))
+    a = _nonneg(draw, (m, n), scales)
     rank = draw(st.integers(1, min(m, n)))
-    return a, scale, rank, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
+    return a, rank, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
 
 
 @st.composite
-def constrained_problems(draw):
+def constrained_problems(draw, scales=(1e-3, 1.0, 1e3)):
     m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
-    a, scale = _nonneg(draw, (m, n))
+    a = _nonneg(draw, (m, n), scales)
     kind = draw(st.sampled_from(("random", "grbf", "target")))
     if kind == "grbf" and m >= 2:
         b = grbf_basis(m, draw(st.floats(0.5, 6.0)), draw(st.integers(1, m))).phi
@@ -266,37 +285,34 @@ def constrained_problems(draw):
         assume(y.max() > y.min())
         b = target_basis(y, m).basis
     else:
-        b, _ = _nonneg(draw, (m, draw(st.integers(1, m))))
-    return a, scale, b, draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
+        b = _nonneg(draw, (m, draw(st.integers(1, m))), scales)
+    return a, b, draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
 
 
-def _assert_matches_loop(res, loop, a, scale):
+def _assert_matches_loop(res, loop, a):
     w, h, low, trace = loop
     assert np.array_equal(res.factors.w, w)
     assert np.array_equal(res.factors.h, h)
     assert np.array_equal(res.low_rank, low)
     assert np.array_equal(res.error_trace, trace)
-    # Where the guard is at most 1e-9 of the entry scale, no sweep raises
-    # the error by more than 1e-9 of ||V||. Nearer the guard's scale the
-    # trace can rise (see test_trace_rises_where_the_guard_dominates).
-    if DENOM_GUARD <= 1e-9 * scale:
-        assert np.all(np.diff(trace) <= 1e-9 * np.linalg.norm(a))
+    # no sweep raises the error by more than rounding
+    assert np.all(np.diff(trace) <= 1e-12 * np.linalg.norm(a))
 
 
 @settings(max_examples=200, deadline=None)
 @given(nmf_problems())
 def test_nmf_mu_matches_unshared_loop(problem):
-    a, scale, rank, iterations, seed = problem
+    a, rank, iterations, seed = problem
     res = nmf_mu(a, rank, iterations, seed)
-    _assert_matches_loop(res, _nmf_mu_loop(a, rank, iterations, seed), a, scale)
+    _assert_matches_loop(res, _nmf_mu_loop(a, rank, iterations, seed), a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(constrained_problems())
 def test_constrained_nmf_mu_matches_unshared_loop(problem):
-    a, scale, b, rank, iterations, seed = problem
+    a, b, rank, iterations, seed = problem
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
-    _assert_matches_loop(res, _constrained_nmf_mu_loop(a, b, rank, iterations, seed), a, scale)
+    _assert_matches_loop(res, _constrained_nmf_mu_loop(a, b, rank, iterations, seed), a)
 
 
 # ------------------------------------------- oracle: the dense bank and solve
@@ -350,7 +366,7 @@ def tall_bases(draw, min_rows=2):
 def test_constrained_nmf_mu_blocks_match_dense_loop(data):
     b = data.draw(tall_bases(min_rows=_BLOCK_ROWS + 1))
     m = b.shape[0]
-    a, _ = _nonneg(data.draw, (m, data.draw(st.integers(1, 24))))
+    a = _nonneg(data.draw, (m, data.draw(st.integers(1, 24))))
     rank, iterations = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
     seed = data.draw(st.integers(0, 2**32 - 1))
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
@@ -374,12 +390,11 @@ def test_row_blocks_cover_every_non_zero_entry(data):
     assert not np.any((b != 0) & ~covered)
 
 
-@pytest.mark.xfail(strict=True, reason="the 1e-6 guard outweighs entries near its scale and the MU trace rises")
 @pytest.mark.parametrize("solver", ["nmf", "constrained"])
-def test_trace_rises_where_the_guard_dominates(solver):
-    # 1x1 matrices at entry scale 1e-3: the trace rises by 4e-5 of ||V||
-    # (nmf_mu, seed 4) and by 3e-3 (constrained_nmf_mu, seed 0, whose
-    # guarded updates shrink the factors towards zero)
+def test_trace_non_increasing_on_small_entries(solver):
+    # 1x1 matrices at entry scale 1e-3, where an additive 1e-6 guard in
+    # the denominators made the trace rise by 4e-5 of ||V|| (nmf_mu,
+    # seed 4) and by 3e-3 (constrained_nmf_mu, seed 0)
     if solver == "nmf":
         a = np.array([[2e-3]])
         res = nmf_mu(a, rank=1, iterations=4, seed=4)
@@ -387,3 +402,89 @@ def test_trace_rises_where_the_guard_dominates(solver):
         a = np.array([[6.3696e-4]])
         res = constrained_nmf_mu(a, a, rank=1, iterations=4, seed=0)
     assert np.all(np.diff(res.error_trace) <= 1e-9 * np.linalg.norm(a))
+
+
+# ------------------------------------------------ scale: equivariance, range
+
+
+def _power_of_two(draw, a):
+    """2^k for a drawn k that keeps every non-zero entry of a normal.
+    At the top, 2^16 of headroom is left: the error and the low-rank
+    product can exceed the largest entry by a factor that the problem
+    sizes drawn here keep below 2^14, and beyond 2^1024 they overflow
+    to inf."""
+    lo, hi = -1022, 1023
+    nz = a[a > 0]
+    if nz.size:
+        lo = max(lo, -1022 - (int(np.frexp(nz.min())[1]) - 1))
+        hi = min(hi, 1023 - 16 - (int(np.frexp(nz.max())[1]) - 1))
+    return 2.0 ** draw(st.integers(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nmf_mu_scale_equivariant(data):
+    # nmf_mu(c V) is exactly c nmf_mu(V): W unchanged, c on H
+    a, rank, iterations, seed = data.draw(nmf_problems())
+    c = _power_of_two(data.draw, a)
+    res = nmf_mu(a, rank, iterations, seed)
+    res_c = nmf_mu(c * a, rank, iterations, seed)
+    assert np.array_equal(res_c.factors.w, res.factors.w)
+    assert np.array_equal(res_c.factors.h, c * res.factors.h)
+    assert np.array_equal(res_c.low_rank, c * res.low_rank)
+    assert np.array_equal(res_c.error_trace, c * res.error_trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_constrained_nmf_mu_scale_equivariant(data):
+    # constrained_nmf_mu(c V) is exactly c constrained_nmf_mu(V): c on P,
+    # Q unchanged
+    a, b, rank, iterations, seed = data.draw(constrained_problems())
+    c = _power_of_two(data.draw, a)
+    res = constrained_nmf_mu(a, b, rank, iterations, seed)
+    res_c = constrained_nmf_mu(c * a, b, rank, iterations, seed)
+    assert np.array_equal(res_c.factors.w, c * res.factors.w)
+    assert np.array_equal(res_c.factors.h, res.factors.h)
+    assert np.array_equal(res_c.low_rank, c * res.low_rank)
+    assert np.array_equal(res_c.error_trace, c * res.error_trace)
+
+
+def _wide(draw, shape):
+    """A non-negative matrix with entries from about 1e-300 to 1e300:
+    each entry's decimal exponent is drawn from a sub-range [lo, hi] of
+    [-300, 300], which may be a single scale or span all of it."""
+    lo = draw(st.floats(-300.0, 300.0))
+    hi = draw(st.floats(lo, 300.0))
+    e = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(lo, hi, shape)
+    return _nonneg(draw, shape, (1.0,)) * 10.0 ** e
+
+
+def _norm(a):
+    """||a||_F without overflow or underflow of the squares."""
+    amax = a.max()
+    return amax * np.linalg.norm(a / amax) if amax > 0 else 0.0
+
+
+def _assert_finite_and_non_rising(res, a):
+    for arr in (res.factors.w, res.factors.h, res.low_rank, res.error_trace):
+        assert np.all(np.isfinite(arr))
+    assert np.all(np.diff(res.error_trace) <= 1e-12 * _norm(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nmf_mu_finite_and_non_rising_from_1e_minus300_to_1e300(data):
+    a, rank, iterations, seed = data.draw(nmf_problems())
+    a = _wide(data.draw, a.shape)
+    _assert_finite_and_non_rising(nmf_mu(a, rank, iterations, seed), a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_constrained_nmf_mu_finite_and_non_rising_from_1e_minus300_to_1e300(data):
+    # the basis stays at an ordinary scale: P carries V's scale over B's,
+    # which for V near 1e300 and B near 1e-300 is not representable
+    a, b, rank, iterations, seed = data.draw(constrained_problems())
+    a = _wide(data.draw, a.shape)
+    _assert_finite_and_non_rising(constrained_nmf_mu(a, b, rank, iterations, seed), a)

@@ -95,6 +95,14 @@ def test_rate_estimation_preconditions():
         estimate_rate_fft(wave, HR_BAND)
 
 
+@pytest.mark.parametrize("pad_factor", [0, -2, 1.5, 2.0, None])
+def test_rate_estimation_rejects_bad_pad_factor(pad_factor):
+    # 0 made np.fft.rfft fail, 1.5 reached it as a float FFT length
+    wave = gen_pulse(25.0, 72.0, 20.0)
+    with pytest.raises(DomainError, match="pad_factor"):
+        estimate_rate_fft(wave, HR_BAND, pad_factor)
+
+
 def test_snr_pure_tone_hits_ceiling():
     wave = gen_pulse(25.0, 72.0, 30.0)  # 1.2 Hz, an exact bin of a 30 s window
     assert snr(wave, 72.0, HR_BAND) == 40.0

@@ -27,6 +27,15 @@ def test_gen_pulse_range_and_duration():
         gen_pulse(25.0, 72.0, 30.0, noise_sigma=-0.1)
 
 
+@pytest.mark.parametrize("fs", [0.0, -25.0, np.nan, np.inf])
+def test_gen_pulse_rejects_bad_sampling_rate(fs):
+    # nan ended in a ValueError, inf in an OverflowError
+    with pytest.raises(DomainError, match="fs"):
+        gen_pulse(fs, 72.0, 30.0)
+    with pytest.raises(DomainError, match="fs"):
+        gen_resp(fs, 15.0, 30.0)
+
+
 def test_gen_resp_range():
     wave = gen_resp(25.0, 15.0, 60.0)
     assert wave.samples.size == 1500
