@@ -21,9 +21,11 @@ a basis likewise, unless its largest entry already lies in [1, 2) (the
 grbf bank and the default target basis peak at exactly 1.0, so they
 are not copied). After the sweeps the low-rank product, the error trace
 and the factor each sweep updates first (H in `nmf_mu`, P in
-`constrained_nmf_mu`) are multiplied back by 2^e. Power-of-two scaling
-is exact, so away from over- and underflow the results are bit for bit
-those of the unscaled update, and solver(2^k V) is exactly
+`constrained_nmf_mu`) are multiplied back by 2^e. Where that would
+take the factor's largest entry beyond float64, the excess power of two
+goes to the other factor, so both stay finite whenever V is. Power-of-
+two scaling is exact, so away from over- and underflow the results are
+bit for bit those of the unscaled update, and solver(2^k V) is exactly
 2^k solver(V).
 
 Solutions are not unique, so both solvers are seeded and deterministic:
@@ -96,20 +98,34 @@ class FactorizationResult:
     seed: int
 
 
+def _exponent(amax):
+    """The exponent e of 2^e, the power of two at or below amax >= 0
+    (0 for amax = 0)."""
+    return int(np.frexp(amax)[1]) - 1 if amax > 0 else 0
+
+
 def _check_nonneg(a, name):
-    """Reject a negative or non-finite entry. Returns the exponent e of
-    2^e, the power of two at or below the largest entry (0 for a zero
-    matrix)."""
+    """Reject a negative or non-finite entry. Returns the exponent of
+    the largest entry (see _exponent)."""
     amax = a.max()
     # written so that NaN fails the comparison
     if not a.min() >= 0 or amax == np.inf:
         raise DomainError(f"{name} must be non-negative and finite")
-    return int(np.frexp(amax)[1]) - 1 if amax > 0 else 0
+    return _exponent(amax)
 
 
 def _shift(a, e):
     """a * 2^e, rounded once; a itself when e is 0."""
     return np.ldexp(a, e) if e else a
+
+
+def _shift_pair(x, y, ex, ey):
+    """x * 2^ex and y * 2^ey, except that the part of a shift that would
+    take a factor's largest entry beyond float64 goes to the other
+    factor instead. The product x y gets the same 2^(ex + ey)."""
+    dx = max(ex + _exponent(x.max()) - 1023, 0)
+    dy = max(ey + _exponent(y.max()) - 1023, 0)
+    return _shift(x, ex - dx + dy), _shift(y, ey - dy + dx)
 
 
 def _nonneg_matrix(v, name):
@@ -147,7 +163,8 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     returns their reconstruction of `a`.
 
     `a` is the input divided by 2^e; the low-rank product and the trace
-    are multiplied back by 2^e, the factors x and y by 2^ex and 2^ey.
+    are multiplied back by 2^e, the factors x and y by 2^ex and 2^ey
+    (see _shift_pair).
     """
     rank = _index(rank, "rank")
     iterations = _index(iterations, "iterations")
@@ -165,7 +182,8 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     for it in range(iterations):
         low = sweep(x, y)
         trace[it] = np.linalg.norm(a - low)
-    x, y, low, trace = _shift(x, ex), _shift(y, ey), _shift(low, e), _shift(trace, e)
+    x, y = _shift_pair(x, y, ex, ey)
+    low, trace = _shift(low, e), _shift(trace, e)
     for arr in (x, y, low, trace):
         arr.flags.writeable = False
     return FactorizationResult(FactorPair(x, y, rank), low, trace, iterations, seed)
@@ -277,15 +295,17 @@ def grbf_basis(m, sigma, delta_t):
 
     Entry (row, k) = exp(-(row - k*delta_t)^2 / (2 sigma^2)) with
     k = 0..K-1 and K = floor((m - 1)/delta_t) + 1, so the last center
-    still falls inside the signal. sigma must be positive and finite
-    with 2 sigma^2 finite and non-zero in float64.
+    still falls inside the signal. m >= 2 and delta_t >= 1 are integers
+    (a float such as 2.5 is refused rather than truncated); sigma must
+    be positive and finite with 2 sigma^2 finite and non-zero in
+    float64.
 
     Only the rows within reach = ceil(sigma sqrt(2 * 746)) of a centre
     are evaluated; further out the entry underflows to exactly 0.0, so
     phi is bitwise the dense formula's.
     """
-    m = int(m)
-    delta_t = int(delta_t)
+    m = _index(m, "grbf_basis m")
+    delta_t = _index(delta_t, "grbf_basis delta_t")
     if m < 2:
         raise DomainError(f"grbf_basis needs m >= 2, got {m}")
     if delta_t < 1:
@@ -321,7 +341,7 @@ def target_basis(y, m, floor=1e-3):
     if isinstance(y, Waveform):
         y = y.samples
     y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != int(m):
+    if y.size != _index(m, "target_basis m"):
         raise DomainError(f"target length {y.size} does not match m = {m}")
     if not 0 < floor < 1:
         raise DomainError(f"floor must lie in (0, 1), got {floor}")

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
 from .errors import DomainError
@@ -95,10 +95,11 @@ class ModelConfig:
         return self.input_channels
 
 
-# Output columns (frames x output pixels) gathered per im2col matmul. At
-# least one frame is always taken, so a 72 px block 0 (1,296 pixels)
-# runs one frame at a time; the patch buffer stays within a few MB.
-_CHUNK_COLUMNS = 512
+# Output columns (frames x output pixels) per batched matmul. A chunk
+# takes at least 4 output frames, so that at 72 px (1,296 pixels per
+# frame in block 0) the kt - st frame halo is not copied once per output
+# frame; the buffers stay within a few MB.
+_CHUNK_COLUMNS = 2048
 
 
 def _int_triple(values, name):
@@ -116,10 +117,16 @@ def _int_triple(values, name):
 def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)):
     """Strided 3D cross-correlation with zero padding.
 
-    Lowered to chunked im2col: the patches of a few output frames at a
-    time are copied into one reused buffer, and one matmul with the
-    (out_c, in_c*kt*ka*kb) weight matrix writes those frames of the
-    output directly.
+    Lowered to im2col over space only (MEC, Cho & Brand 2017, applied
+    to the temporal axis). Output frames run in chunks. The input frames
+    a chunk reads, its kt - st frame halo included, go into a reused
+    zero-bordered frame buffer, and the ka*kb spatial patches of each
+    are copied once into a reused buffer laid out (frame, in_c, ka, kb,
+    a_out, b_out). The kt frames an output frame reads are then one
+    contiguous (kt*in_c*ka*kb, a_out*b_out) matrix, so a strided view
+    serves the temporal window without a copy. One batched matmul with
+    the weights in (out_c, kt, in_c, ka, kb) order writes the chunk's
+    output frames directly.
 
     Args:
         eps: VoxelEmbedding (t, c, a, b).
@@ -152,24 +159,40 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
     if min(st, sa, sb) < 1 or min(pt, pa, pb) < 0:
         raise DomainError("strides must be >= 1 and padding >= 0")
 
-    xp = np.pad(eps.data, ((pt, pt), (0, 0), (pa, pa), (pb, pb)))
-    t_in, _, a_in, b_in = xp.shape
+    t, _, a, b = eps.shape
+    t_in, a_in, b_in = t + 2 * pt, a + 2 * pa, b + 2 * pb
     if kt > t_in or ka > a_in or kb > b_in:
         raise DomainError("kernel larger than the padded input")
-    # (t_out, ci, a_out, b_out, kt, ka, kb) -> (t_out, ci, kt, ka, kb, a_out, b_out)
-    windows = sliding_window_view(xp, (kt, ka, kb), axis=(0, 2, 3))[::st, :, ::sa, ::sb]
-    patches = windows.transpose(0, 1, 4, 5, 6, 2, 3)
-    t_out, a_out, b_out = patches.shape[0], patches.shape[5], patches.shape[6]
-
+    t_out = (t_in - kt) // st + 1
+    a_out = (a_in - ka) // sa + 1
+    b_out = (b_in - kb) // sb + 1
     cols = a_out * b_out
-    frames = max(1, min(t_out, _CHUNK_COLUMNS // cols))
-    buf = np.empty((frames,) + patches.shape[1:])
-    wmat = w.reshape(co, ci * kt * ka * kb)
+    frames = min(t_out, max(4, _CHUNK_COLUMNS // cols))
+    xbuf = np.zeros(((frames - 1) * st + kt, ci, a_in, b_in))
+    inner = xbuf[:, :, pa : pa + a, pb : pb + b]
+    # (frame, ci, a_out, b_out, ka, kb) -> (frame, ci, ka, kb, a_out, b_out)
+    windows = sliding_window_view(xbuf, (ka, kb), axis=(2, 3))[:, :, ::sa, ::sb]
+    patches = windows.transpose(0, 1, 4, 5, 2, 3)
+    buf = np.empty(patches.shape)
+    rows = kt * ci * ka * kb
+    wmat = w.transpose(0, 2, 1, 3, 4).reshape(co, rows)
     out = np.empty((t_out, co, a_out, b_out))
     for t0 in range(0, t_out, frames):
         n = min(frames, t_out - t0)
-        np.copyto(buf[:n], patches[t0 : t0 + n])
-        np.matmul(wmat, buf[:n].reshape(n, -1, cols), out=out[t0 : t0 + n].reshape(n, co, cols))
+        span = (n - 1) * st + kt
+        # buffer frame i holds input frame f0 + i, which exists for i in
+        # [lo, hi). Frames before lo stay zero: no earlier chunk wrote
+        # there, since it started further into the leading padding.
+        f0 = t0 * st - pt
+        lo = min(max(-f0, 0), span)
+        hi = max(min(t - f0, span), lo)
+        inner[lo:hi] = eps.data[f0 + lo : f0 + hi]
+        inner[hi:span] = 0.0
+        np.copyto(buf[:span], patches[:span])
+        # output frame j reads buffer frames j*st .. j*st + kt - 1, which
+        # are consecutive in memory: one (rows, cols) matrix per frame
+        view = as_strided(buf, (n, rows, cols), (st * buf[0].nbytes, cols * 8, 8), writeable=False)
+        np.matmul(wmat, view, out=out[t0 : t0 + n].reshape(n, co, cols))
     if bias is not None:
         out += bias[None, :, None, None]
     return VoxelEmbedding(out)

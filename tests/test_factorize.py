@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from physfactor.errors import DomainError
@@ -176,6 +176,18 @@ def test_grbf_rejects_unrepresentable_sigma(sigma):
         grbf_basis(8, sigma, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: grbf_basis(20.9, 1.0, 2),
+    lambda: grbf_basis(20, 1.0, 2.5),
+    lambda: target_basis(np.arange(5.0), 5.7),
+], ids=["grbf-m", "grbf-delta-t", "target-m"])
+def test_fractional_sizes_are_refused(build):
+    # grbf_basis(20.9, 1.0, 2.5) built a 20 x 10 bank with delta_t = 2,
+    # and target_basis accepted m = 5.7 for a 5-sample signal
+    with pytest.raises(DomainError, match="integer"):
+        build()
+
+
 def test_target_basis_example():
     tc = target_basis([-1.0, 0.0, 1.0], 3, floor=1e-3)
     assert tc.basis.shape == (3, 1)
@@ -290,11 +302,17 @@ def constrained_problems(draw, scales=(1e-3, 1.0, 1e3)):
 
 
 def _assert_matches_loop(res, loop, a):
+    # bit for bit away from underflow: the low-rank product is formed on
+    # V / 2^e and multiplied back, so an entry that is subnormal in the
+    # oracle is rounded twice and may differ from it by one subnormal ulp
     w, h, low, trace = loop
     assert np.array_equal(res.factors.w, w)
     assert np.array_equal(res.factors.h, h)
-    assert np.array_equal(res.low_rank, low)
     assert np.array_equal(res.error_trace, trace)
+    tiny = np.finfo(float).tiny
+    normal = np.abs(low) >= tiny
+    assert np.array_equal(res.low_rank[normal], low[normal])
+    assert np.all(np.abs(res.low_rank - low)[~normal] <= tiny)
     # no sweep raises the error by more than rounding
     assert np.all(np.diff(trace) <= 1e-12 * np.linalg.norm(a))
 
@@ -309,6 +327,8 @@ def test_nmf_mu_matches_unshared_loop(problem):
 
 @settings(max_examples=200, deadline=None)
 @given(constrained_problems())
+# low_rank[19] is subnormal: 1.8189926e-317 here, 1.818992e-317 in the loop
+@example((1e-3 * np.random.default_rng(0).random((20, 1)), grbf_basis(20, 0.5, 20).phi, 1, 1, 0))
 def test_constrained_nmf_mu_matches_unshared_loop(problem):
     a, b, rank, iterations, seed = problem
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
@@ -483,8 +503,27 @@ def test_nmf_mu_finite_and_non_rising_from_1e_minus300_to_1e300(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_constrained_nmf_mu_finite_and_non_rising_from_1e_minus300_to_1e300(data):
-    # the basis stays at an ordinary scale: P carries V's scale over B's,
-    # which for V near 1e300 and B near 1e-300 is not representable
+    # V and the basis both wide: P alone cannot carry V's scale over B's
+    # when that leaves float64, so Q takes the excess
     a, b, rank, iterations, seed = data.draw(constrained_problems())
     a = _wide(data.draw, a.shape)
+    b = _wide(data.draw, b.shape)
     _assert_finite_and_non_rising(constrained_nmf_mu(a, b, rank, iterations, seed), a)
+
+
+@pytest.mark.parametrize("solver", ["nmf", "constrained"])
+def test_scale_carrying_factor_stays_finite(solver):
+    # H (nmf_mu) or P (constrained_nmf_mu) carries V's scale; at the
+    # parent it overflowed to inf with numpy's ldexp overflow warning
+    if solver == "nmf":
+        a, basis = np.full((3, 3), 1.5e308), None
+        res = nmf_mu(a, rank=1)
+        product = res.factors.w @ res.factors.h
+    else:
+        rng = np.random.default_rng(3)
+        a, basis = 1e300 * rng.random((30, 5)), 1e-300 * rng.random((30, 4))
+        res = constrained_nmf_mu(a, basis, rank=2)
+        product = basis @ res.factors.w @ res.factors.h
+    assert np.all(np.isfinite(res.factors.w)) and np.all(np.isfinite(res.factors.h))
+    assert np.all(np.isfinite(res.low_rank))
+    assert np.max(np.abs(product - res.low_rank)) <= 1e-12 * np.max(res.low_rank)

@@ -147,12 +147,28 @@ def _case(t, ci, a, b, co, kernel=(3, 3, 3), strides=(1, 1, 1), padding=(1, 1, 1
             rng.normal(size=co), strides, padding)
 
 
+# Shapes that together cover each chunking case of conv3d_forward; see
+# test_conv3d_examples_straddle_the_chunk.
+_CHUNK_EXAMPLES = {
+    # 5x5 output pixels: many frames per chunk, and 100 leave a partial one
+    "partial-last": dict(t=100, ci=4, a=5, b=5, co=6),
+    # 26x26 output pixels, 4 frames per chunk; the frame after the first
+    # chunk's last window is also the first of the second chunk's
+    "stride-2-halo": dict(t=11, ci=2, a=26, b=26, co=3, strides=(2, 1, 1)),
+    # 49x48 output pixels, more than one chunk holds
+    "wide-frame": dict(t=7, ci=2, a=48, b=48, co=3, kernel=(2, 4, 3), padding=(0, 2, 1)),
+    # kt = 1 with a temporal stride of 3: no halo, skipped frames, and a
+    # last chunk that reads only the zero padding after the input
+    "kt-1": dict(t=9, ci=2, a=21, b=21, co=3, kernel=(1, 3, 3), strides=(3, 1, 1), padding=(2, 1, 1)),
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(conv_cases())
-# 5x5 output pixels: several frames per chunk, 23 frames leave a partial one
-@example(_case(23, 4, 5, 5, 6))
-# 27x26 = 702 output pixels, more than one chunk holds; one frame each
-@example(_case(7, 3, 26, 26, 5, kernel=(2, 4, 3), padding=(0, 2, 1)))
+@example(_case(**_CHUNK_EXAMPLES["partial-last"]))
+@example(_case(**_CHUNK_EXAMPLES["stride-2-halo"]))
+@example(_case(**_CHUNK_EXAMPLES["wide-frame"]))
+@example(_case(**_CHUNK_EXAMPLES["kt-1"]))
 def test_conv3d_matches_tap_loop(case):
     x, w, bias, strides, padding = case
     got = conv3d_forward(VoxelEmbedding(x), w, bias, strides, padding)
@@ -161,12 +177,37 @@ def test_conv3d_matches_tap_loop(case):
     assert _rel_err(got.data, want.data) <= 1e-12
 
 
+def _chunking(t, a, b, kernel=(3, 3, 3), strides=(1, 1, 1), padding=(1, 1, 1), **_):
+    """(t_out, output pixels per frame, output frames per chunk) of a
+    _CHUNK_EXAMPLES entry, by the chunk rule of conv3d_forward."""
+    t_out, a_out, b_out = (
+        (n + 2 * p - k) // s + 1 for n, k, s, p in zip((t, a, b), kernel, strides, padding)
+    )
+    cols = a_out * b_out
+    return t_out, cols, min(t_out, max(4, network._CHUNK_COLUMNS // cols))
+
+
 def test_conv3d_examples_straddle_the_chunk():
-    # the explicit examples above must keep covering a partial last
-    # chunk and an output frame wider than one chunk
-    frames = network._CHUNK_COLUMNS // 25
-    assert frames > 1 and 23 % frames != 0
-    assert 27 * 26 > network._CHUNK_COLUMNS
+    # the explicit examples above must keep covering each chunking case
+    t_out, _, frames = _chunking(**_CHUNK_EXAMPLES["partial-last"])
+    assert 1 < frames < t_out and t_out % frames != 0
+
+    ex = _CHUNK_EXAMPLES["stride-2-halo"]
+    t_out, _, frames = _chunking(**ex)
+    kt, st, pt = 3, ex["strides"][0], 1
+    assert st == 2 and kt > st and frames < t_out
+    # the last window of chunk 0 ends inside the input, past where chunk 1 starts
+    assert frames * st <= (frames - 1) * st + kt - 1 < ex["t"] + pt
+
+    t_out, cols, frames = _chunking(**_CHUNK_EXAMPLES["wide-frame"])
+    assert cols > network._CHUNK_COLUMNS and frames < t_out
+
+    ex = _CHUNK_EXAMPLES["kt-1"]
+    t_out, _, frames = _chunking(**ex)
+    kt, st, pt = ex["kernel"][0], ex["strides"][0], ex["padding"][0]
+    assert kt == 1 and frames < t_out
+    # the first output frame of the last chunk reads past the input
+    assert (t_out - 1) // frames * frames * st - pt >= ex["t"]
 
 
 def test_forward_matches_tap_loop_forward(monkeypatch):
