@@ -7,9 +7,12 @@ linearly upsamples back to the frame count at the end. Both branches
 are fully convolutional in time: any frame count works (the respiration
 branch needs it divisible by its stride product).
 
-Every conv block runs through `conv3d_forward`, a chunked im2col
-lowering in float64: one matmul per few output frames. The per-tap loop
-it replaced is the oracle in the tests.
+Every conv block runs through `conv3d_forward`, an im2col lowering over
+space only, in float64 (MEC, applied to the temporal axis): the spatial
+patches of each input frame are copied once, and each output frame's
+temporal window is a strided view over consecutive frames of that
+buffer, so one batched matmul per chunk of output frames needs no
+temporal copy. The per-tap loop it replaced is the oracle in the tests.
 
 Weights are initialized from a seeded generator; there is no training
 here, determinism is all that matters.

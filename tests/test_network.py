@@ -152,8 +152,8 @@ def _case(t, ci, a, b, co, kernel=(3, 3, 3), strides=(1, 1, 1), padding=(1, 1, 1
 _CHUNK_EXAMPLES = {
     # 5x5 output pixels: many frames per chunk, and 100 leave a partial one
     "partial-last": dict(t=100, ci=4, a=5, b=5, co=6),
-    # 26x26 output pixels, 4 frames per chunk; the frame after the first
-    # chunk's last window is also the first of the second chunk's
+    # 26x26 output pixels, 4 frames per chunk; the last window of the
+    # first chunk ends on the input frame where the second chunk starts
     "stride-2-halo": dict(t=11, ci=2, a=26, b=26, co=3, strides=(2, 1, 1)),
     # 49x48 output pixels, more than one chunk holds
     "wide-frame": dict(t=7, ci=2, a=48, b=48, co=3, kernel=(2, 4, 3), padding=(0, 2, 1)),
@@ -196,7 +196,8 @@ def test_conv3d_examples_straddle_the_chunk():
     t_out, _, frames = _chunking(**ex)
     kt, st, pt = 3, ex["strides"][0], 1
     assert st == 2 and kt > st and frames < t_out
-    # the last window of chunk 0 ends inside the input, past where chunk 1 starts
+    # the last window of chunk 0 ends inside the input, at or past the
+    # padded frame where chunk 1 starts
     assert frames * st <= (frames - 1) * st + kt - 1 < ex["t"] + pt
 
     t_out, cols, frames = _chunking(**_CHUNK_EXAMPLES["wide-frame"])
