@@ -23,7 +23,9 @@ are not copied). After the sweeps the low-rank product, the error trace
 and the factor each sweep updates first (H in `nmf_mu`, P in
 `constrained_nmf_mu`) are multiplied back by 2^e. Where that would
 take the factor's largest entry beyond float64, the excess power of two
-goes to the other factor, so both stay finite whenever V is. Power-of-
+goes to the other factor. Two finite factors carry at most about
+2^2046 between them, so a scale beyond that (a basis whose largest
+entry is subnormal, with V near 2^1023) raises DomainError. Power-of-
 two scaling is exact, so away from over- and underflow the results are
 bit for bit those of the unscaled update, and solver(2^k V) is exactly
 2^k solver(V).
@@ -119,13 +121,26 @@ def _shift(a, e):
     return np.ldexp(a, e) if e else a
 
 
+def _excess(a, e):
+    """How many powers of two a * 2^e's largest entry lies beyond
+    float64's range; 0 if it is within it or a is all zero."""
+    amax = a.max()
+    return max(e + _exponent(amax) - 1023, 0) if amax > 0 else 0
+
+
 def _shift_pair(x, y, ex, ey):
     """x * 2^ex and y * 2^ey, except that the part of a shift that would
     take a factor's largest entry beyond float64 goes to the other
-    factor instead. The product x y gets the same 2^(ex + ey)."""
-    dx = max(ex + _exponent(x.max()) - 1023, 0)
-    dy = max(ey + _exponent(y.max()) - 1023, 0)
-    return _shift(x, ex - dx + dy), _shift(y, ey - dy + dx)
+    factor instead. The product x y gets the same 2^(ex + ey). Raises
+    DomainError where neither factor can take the excess."""
+    dx, dy = _excess(x, ex), _excess(y, ey)
+    ex, ey = ex - dx + dy, ey - dy + dx
+    if _excess(x, ex) or _excess(y, ey):
+        raise DomainError(
+            f"the factors cannot carry a scale of 2^{ex + ey} in float64; "
+            "the input's scale over the basis's is too large"
+        )
+    return _shift(x, ex), _shift(y, ey)
 
 
 def _nonneg_matrix(v, name):

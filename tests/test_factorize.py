@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from physfactor.errors import DomainError
 from physfactor.factorize import (
     _BLOCK_ROWS,
+    _exponent,
     _row_blocks,
     constrained_nmf_mu,
     grbf_basis,
@@ -301,18 +302,49 @@ def constrained_problems(draw, scales=(1e-3, 1.0, 1e3)):
     return a, b, draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
 
 
-def _assert_matches_loop(res, loop, a):
-    # bit for bit away from underflow: the low-rank product is formed on
-    # V / 2^e and multiplied back, so an entry that is subnormal in the
-    # oracle is rounded twice and may differ from it by one subnormal ulp
+def _assert_product_matches(got, low, x, y, z, e, ex):
+    """got, the driver's X Y Z, against low, the loop's, for
+    non-negative factors. The driver forms the product at V / 2^e, with
+    the basis X divided by 2^ex and the scale-carrying factor by
+    2^(e - ex), and multiplies it back by 2^e.
+
+    Where no factor entry, no term X_il Y_lr or (X Y)_ir Z_rj and no
+    entry of low lies below 2^s tiny, 2^s the largest of those scales,
+    both sides round the same values, and they agree bit for bit.
+    Elsewhere each side is within its rounding of the exact product:
+    a relative eps per operation, about k + r + 1 of them, and half a
+    subnormal ulp at scale 2^s for each rounded factor entry and each
+    underflowing term, each weighted by what multiplies it afterwards."""
+    tiny = np.finfo(float).tiny
+    scale = 2.0 ** (max(e, 0) + abs(ex))
+    xy = x @ y
+    terms = (x, y, z, low, x[:, :, None] * y[None], xy[:, :, None] * z[None])
+    if not any(np.any((t > 0) & (t < scale * tiny)) for t in terms):
+        assert np.array_equal(got, low)
+        return
+    k, r = y.shape
+    ulp = scale * np.finfo(float).smallest_subnormal
+    zs = z.sum(axis=0)
+    weights = (
+        (y @ z).sum(axis=0)                   # X's entries
+        + x.sum(axis=1)[:, None] * zs         # Y's
+        + xy.sum(axis=1)[:, None]             # Z's
+        + k * zs + r + 1                      # the terms and the result
+    )
+    bound = 2 * (k + r + 1) * np.finfo(float).eps * low + ulp * weights
+    assert np.all(np.abs(got - low) <= bound)
+
+
+def _assert_matches_loop(res, loop, a, b=None):
+    # factors and trace bit for bit; the low-rank product is formed on
+    # V / 2^e and multiplied back, so where it underflows at either
+    # scale it is rounded differently from the loop's
     w, h, low, trace = loop
     assert np.array_equal(res.factors.w, w)
     assert np.array_equal(res.factors.h, h)
     assert np.array_equal(res.error_trace, trace)
-    tiny = np.finfo(float).tiny
-    normal = np.abs(low) >= tiny
-    assert np.array_equal(res.low_rank[normal], low[normal])
-    assert np.all(np.abs(res.low_rank - low)[~normal] <= tiny)
+    x = np.eye(a.shape[0]) if b is None else b
+    _assert_product_matches(res.low_rank, low, x, w, h, _exponent(a.max()), _exponent(x.max()))
     # no sweep raises the error by more than rounding
     assert np.all(np.diff(trace) <= 1e-12 * np.linalg.norm(a))
 
@@ -329,10 +361,13 @@ def test_nmf_mu_matches_unshared_loop(problem):
 @given(constrained_problems())
 # low_rank[19] is subnormal: 1.8189926e-317 here, 1.818992e-317 in the loop
 @example((1e-3 * np.random.default_rng(0).random((20, 1)), grbf_basis(20, 0.5, 20).phi, 1, 1, 0))
+# low_rank[21, 1] is 4 subnormal ulps from the loop's: the loop's B P
+# underflows there, and Q (up to 7.9) multiplies that rounding
+@example((1e-3 * np.random.default_rng(598).random((22, 8)), grbf_basis(22, 0.56, 22).phi, 2, 4, 1))
 def test_constrained_nmf_mu_matches_unshared_loop(problem):
     a, b, rank, iterations, seed = problem
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
-    _assert_matches_loop(res, _constrained_nmf_mu_loop(a, b, rank, iterations, seed), a)
+    _assert_matches_loop(res, _constrained_nmf_mu_loop(a, b, rank, iterations, seed), a, b)
 
 
 # ------------------------------------------- oracle: the dense bank and solve
@@ -441,25 +476,33 @@ def _power_of_two(draw, a):
     return 2.0 ** draw(st.integers(lo, hi))
 
 
+@st.composite
+def _scaled(draw, problems):
+    problem = draw(problems)
+    return problem, _power_of_two(draw, problem[0])
+
+
 def _assert_scaled(got, base, c):
-    """got == c * base bit for bit where both are normal. Each is its
-    solve's result multiplied back by a power of two, so a subnormal
-    entry of either is rounded once more than its counterpart; there
-    they agree within max(c, 1) * tiny."""
-    tiny = np.finfo(float).tiny
+    """got == c * base bit for bit where both are normal. Both solves
+    run on the same V / 2^e, and each multiplies its result back by its
+    own power of two. Where that lands on a subnormal, the rounding is
+    to a subnormal ulp: half an ulp in got, half an ulp times c in
+    c * base, and half an ulp more where c < 1 takes c * base to a
+    subnormal. So there they agree within 2 max(c, 1) ulps."""
     want = c * base
+    tiny = np.finfo(float).tiny
     normal = (np.abs(base) >= tiny) & (np.abs(got) >= tiny)
     assert np.array_equal(got[normal], want[normal])
-    assert np.all(np.abs(got - want)[~normal] <= max(c, 1.0) * tiny)
+    ulp = np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - want)[~normal] <= 2 * max(c, 1.0) * ulp)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_nmf_mu_scale_equivariant(data):
+@given(_scaled(nmf_problems()))
+def test_nmf_mu_scale_equivariant(scaled):
     # nmf_mu(c V) is exactly c nmf_mu(V) away from underflow: W
     # unchanged, c on H
-    a, rank, iterations, seed = data.draw(nmf_problems())
-    c = _power_of_two(data.draw, a)
+    (a, rank, iterations, seed), c = scaled
     res = nmf_mu(a, rank, iterations, seed)
     res_c = nmf_mu(c * a, rank, iterations, seed)
     assert np.array_equal(res_c.factors.w, res.factors.w)
@@ -469,13 +512,14 @@ def test_nmf_mu_scale_equivariant(data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_constrained_nmf_mu_scale_equivariant(data):
+@given(_scaled(constrained_problems()))
+# low_rank[19] is subnormal: 3.6379847e-317 at 2 V, 2 x 1.8189926e-317 at V
+@example(((1e-3 * np.random.default_rng(0).random((20, 1)), grbf_basis(20, 0.5, 20).phi, 1, 1, 0), 2.0))
+def test_constrained_nmf_mu_scale_equivariant(scaled):
     # constrained_nmf_mu(c V) is exactly c constrained_nmf_mu(V) away
     # from underflow: c on P, Q unchanged. With V at 1e-3, a grbf bank
     # of sigma 0.5 has subnormal entries, and so has low_rank.
-    a, b, rank, iterations, seed = data.draw(constrained_problems())
-    c = _power_of_two(data.draw, a)
+    (a, b, rank, iterations, seed), c = scaled
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
     res_c = constrained_nmf_mu(c * a, b, rank, iterations, seed)
     _assert_scaled(res_c.factors.w, res.factors.w, c)
@@ -540,3 +584,17 @@ def test_scale_carrying_factor_stays_finite(solver):
     assert np.all(np.isfinite(res.factors.w)) and np.all(np.isfinite(res.factors.h))
     assert np.all(np.isfinite(res.low_rank))
     assert np.max(np.abs(product - res.low_rank)) <= 1e-12 * np.max(res.low_rank)
+
+
+def test_factor_split_at_the_float64_boundary():
+    # with V near 2^1023 and a basis peaking at 2^eb, P Q carries about
+    # 2^(1023 - eb): two finite factors carry 2^2045 (eb = -1022, the
+    # smallest normal) but not 2^2053 (a subnormal basis, eb = -1030)
+    v = np.full((3, 3), 1.5e308)
+    basis = np.full((3, 1), np.finfo(float).tiny)
+    res = constrained_nmf_mu(v, basis, rank=1)
+    assert np.all(np.isfinite(res.factors.w)) and np.all(np.isfinite(res.factors.h))
+    product = basis @ res.factors.w @ res.factors.h
+    assert np.max(np.abs(product - res.low_rank)) <= 1e-12 * np.max(res.low_rank)
+    with pytest.raises(DomainError, match="cannot carry"):
+        constrained_nmf_mu(v, np.full((3, 1), np.ldexp(1.0, -1030)), rank=1)
