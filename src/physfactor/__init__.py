@@ -29,7 +29,6 @@ from .metrics import (
     snr,
 )
 from .network import (
-    ConvBlockSpec,
     ModelConfig,
     bvp_branch_forward,
     conv3d_forward,

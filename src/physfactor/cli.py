@@ -221,12 +221,8 @@ def cmd_metrics(args):
         max_lag_s=args.max_lag_s if args.max_lag_s is not None else cfg.max_lag_s,
         band=cfg.band(args.kind),
     )
-    obj = report.as_dict()
-    if args.format == "json":
-        _emit_report(args, obj)
-    else:
-        if getattr(args, "report", None):
-            _write_text(args.report, dump_json(obj))
+    _emit_report(args, report.as_dict(), also_stdout=args.format == "json")
+    if args.format == "table":
         sys.stdout.write(_format_table(report))
     return 0
 

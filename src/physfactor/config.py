@@ -7,13 +7,14 @@ document with every supported key and its default.
 """
 
 import configparser
+import operator
 import os
 from dataclasses import dataclass
 
 from .attention import AttentionConfig
 from .errors import DomainError, InputFormatError
 from .metrics import RateBand
-from .network import ConvBlockSpec, ModelConfig
+from .network import ModelConfig
 
 ENV_CONFIG_PATH = "PHYSFACTOR_CONFIG"
 
@@ -131,19 +132,14 @@ class RunConfig:
         att = None
         if self.use_attention and not omit_attention:
             att = self.attention_config()
-        bvp = tuple(
-            ConvBlockSpec(c, self.temporal_kernel, self.spatial_kernel, 1, 2)
-            for c in self.bvp_channels
-        )
-        rsp = tuple(
-            ConvBlockSpec(c, self.temporal_kernel, self.spatial_kernel, s, 2)
-            for c, s in zip(self.rsp_channels, self.rsp_temporal_strides)
-        )
         return ModelConfig(
             input_resolution=self.resolution,
             input_channels=self.channels,
-            bvp_blocks=bvp,
-            rsp_blocks=rsp,
+            bvp_channels=self.bvp_channels,
+            rsp_channels=self.rsp_channels,
+            rsp_temporal_strides=self.rsp_temporal_strides,
+            temporal_kernel=self.temporal_kernel,
+            spatial_kernel=self.spatial_kernel,
             attention_index=self.attention_index,
             bvp_attention=att,
             rsp_attention=att,
@@ -156,22 +152,31 @@ def _build(values, seed_override=None):
         key: _parse(section, key, raw) for section, keys in values.items() for key, raw in keys.items()
     }
     if seed_override is not None:
-        parsed["seed"] = int(seed_override)
+        # bool has __index__ too, but True is no seed
+        if isinstance(seed_override, bool) or not hasattr(seed_override, "__index__"):
+            raise DomainError(f"seed must be an integer, got {seed_override!r}")
+        parsed["seed"] = operator.index(seed_override)
     if parsed["seed"] < 0:
         raise DomainError(f"seed must be >= 0, got {parsed['seed']}")
     if len(parsed["rsp_channels"]) != len(parsed["rsp_temporal_strides"]):
         raise InputFormatError("[model] rsp_channels and rsp_temporal_strides must have equal length")
     for kind in ("hr", "rr"):
-        parsed[f"{kind}_band"] = RateBand(parsed.pop(f"{kind}_lo_hz"), parsed.pop(f"{kind}_hi_hz"), kind)
-    return RunConfig(**parsed)
+        parsed[f"{kind}_band"] = RateBand(parsed.pop(f"{kind}_lo_hz"), parsed.pop(f"{kind}_hi_hz"))
+    cfg = RunConfig(**parsed)
+    # a bad [attention] or [model] value fails here, not in whichever
+    # command first builds the config it sits in
+    cfg.attention_config()
+    cfg.model_config()
+    return cfg
 
 
 def load_run_config(path=None, seed_override=None):
     """Load a RunConfig from an INI file, the environment-pointed file,
     or pure defaults when neither is given.
 
-    Unknown sections or keys raise InputFormatError, a negative seed
-    DomainError.
+    Unknown sections or keys raise InputFormatError. A negative or
+    non-integer seed, or an [attention] or [model] value that
+    AttentionConfig or ModelConfig refuses, raises DomainError.
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None

@@ -45,6 +45,7 @@ so its results are those of the dense products bit for bit; taller
 bases agree with them within rounding.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -103,7 +104,7 @@ class FactorizationResult:
 def _exponent(amax):
     """The exponent e of 2^e, the power of two at or below amax >= 0
     (0 for amax = 0)."""
-    return int(np.frexp(amax)[1]) - 1 if amax > 0 else 0
+    return math.frexp(amax)[1] - 1 if amax > 0 else 0
 
 
 def _check_nonneg(a, name):
@@ -119,6 +120,17 @@ def _check_nonneg(a, name):
 def _shift(a, e):
     """a * 2^e, rounded once; a itself when e is 0."""
     return np.ldexp(a, e) if e else a
+
+
+def _unit_scaled(v):
+    """(v / 2^e, e), with 2^e the power of two at or below v's largest
+    magnitude, which the division puts in [1, 2). It is exact, except
+    for entries more than 2^1022 below the largest. Scale-free
+    statistics such as Pearson's r use it so that no sum of squares,
+    and no product of two, over- or underflows; where none did before,
+    their results are bitwise unchanged."""
+    e = _exponent(max(v.max(), -v.min()))
+    return _shift(v, -e), e
 
 
 def _excess(a, e):

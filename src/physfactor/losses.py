@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .factorize import _unit_scaled
 from .tensors import Waveform
 
 
@@ -40,8 +41,13 @@ def neg_pearson_loss(pred, gt):
     if x.size < 3:
         raise DomainError("neg_pearson_loss needs at least 3 samples")
 
-    xc = x - x.mean()
-    yc = y - y.mean()
+    # r is scale-free, so it is computed on x / 2^ex and y / 2^ey, where
+    # no sum of squares over- or underflows; d r / d x is then the
+    # gradient in x / 2^ex divided by 2^ex
+    xs, ex = _unit_scaled(x)
+    ys, _ = _unit_scaled(y)
+    xc = xs - xs.mean()
+    yc = ys - ys.mean()
     sxx = float(xc @ xc)
     syy = float(yc @ yc)
     if sxx == 0.0 or syy == 0.0:
@@ -51,7 +57,7 @@ def neg_pearson_loss(pred, gt):
     r = sxy / denom
     # d r / d x = yc / denom - r * xc / sxx  (mean-centering contributes
     # nothing because yc and xc both sum to zero)
-    grad = -(yc / denom - r * xc / sxx)
+    grad = np.ldexp(-(yc / denom - r * xc / sxx), -ex)
     return 1.0 - r, grad
 
 

@@ -12,6 +12,10 @@ power is the remaining in-band energy, and the ratio is clipped into
 [-20, 40] dB. Padding would smear a pure tone's energy across the band
 and hide the fact that its noise power is essentially zero.
 
+Every Pearson r here is taken on signals divided by the power of two at
+or below their largest magnitude: exact, so r is bitwise the unscaled
+one wherever that did not over- or underflow, and finite at any scale.
+
 MACC, the maximum absolute Pearson correlation over integer lags, scores
 every lag in one pass. Both signals are centred on their window means;
 one np.correlate gives each lag's cross sum and prefix sums of the
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .factorize import _unit_scaled
 from .tensors import Waveform
 
 MIN_DURATION_S = 10.0     # shortest signal the rate estimator accepts
@@ -48,17 +53,14 @@ SNR_CLIP_DB = (-20.0, 40.0)
 class RateBand:
     lo_hz: float
     hi_hz: float
-    kind: str = "hr"
 
     def __post_init__(self):
         if not 0 < self.lo_hz < self.hi_hz:
             raise DomainError(f"band must satisfy 0 < lo < hi, got [{self.lo_hz}, {self.hi_hz}]")
-        if self.kind not in ("hr", "rr"):
-            raise DomainError(f"band kind must be 'hr' or 'rr', got {self.kind!r}")
 
 
-HR_BAND = RateBand(0.6, 3.3, "hr")     # 36..198 beats/min
-RR_BAND = RateBand(0.1, 0.5, "rr")     # 6..30 breaths/min
+HR_BAND = RateBand(0.6, 3.3)     # 36..198 beats/min
+RR_BAND = RateBand(0.1, 0.5)     # 6..30 breaths/min
 
 
 def band_for(kind):
@@ -180,6 +182,8 @@ def snr(pred, ref_rate, band):
 
 
 def _pearson(a, b):
+    a, _ = _unit_scaled(a)
+    b, _ = _unit_scaled(b)
     ac = a - a.mean()
     bc = b - b.mean()
     denom = np.sqrt(float(ac @ ac) * float(bc @ bc))
@@ -271,7 +275,7 @@ def macc(pred, gt, max_lag_s=None):
         # no overlap of 3 samples, or a constant signal: r = 0 at every lag
         return 0.0
     lags = np.arange(-max_lag, max_lag + 1)
-    r, slack = _lagged_abs_pearson(x, y, lags)
+    r, slack = _lagged_abs_pearson(_unit_scaled(x)[0], _unit_scaled(y)[0], lags)
     # a NaN cutoff keeps every lag, which falls back to the full loop
     cutoff = np.max(r - slack)
     contenders = lags[~(r + slack < cutoff)]

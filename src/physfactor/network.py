@@ -1,11 +1,15 @@
 """Toy dual-branch 3D convolutional network, forward pass only.
 
-The pulse branch keeps temporal stride 1 everywhere and aggregates the
-spatial axes, so its output length always equals the input frame count.
-The respiration branch downsamples time with strided convolutions and
-linearly upsamples back to the frame count at the end. Both branches
-are fully convolutional in time: any frame count works (the respiration
-branch needs it divisible by its stride product).
+`ModelConfig` holds the run config's [model] keys: a channel list per
+branch, the respiration branch's temporal strides, and one temporal and
+one spatial kernel size for every block. Every block halves both
+spatial axes. The pulse branch keeps temporal stride 1 everywhere and
+aggregates the spatial axes, so with an odd temporal kernel its output
+length always equals the input frame count. The respiration branch
+downsamples time with strided convolutions and linearly upsamples back
+to the frame count at the end. Both branches are fully convolutional in
+time: any frame count works (the respiration branch needs it divisible
+by its stride product).
 
 Every conv block runs through `conv3d_forward`, an im2col lowering over
 space only, in float64 (MEC, applied to the temporal axis): the spatial
@@ -30,29 +34,31 @@ from .errors import DomainError
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 
-@dataclass(frozen=True)
-class ConvBlockSpec:
-    out_channels: int
-    temporal_kernel: int = 3
-    spatial_kernel: int = 3
-    temporal_stride: int = 1
-    spatial_stride: int = 2
+# Every conv block halves both spatial axes.
+SPATIAL_STRIDE = 2
 
 
-def _default_blocks(branch):
-    if branch == "bvp":
-        strides = (1, 1, 1, 1)
-    else:
-        strides = (2, 2, 1, 1)
-    return tuple(
-        ConvBlockSpec(c, temporal_stride=s)
-        for c, s in zip((8, 12, 12, 8), strides)
-    )
+def _positive_ints(values):
+    """True when values is a non-empty sequence of Python or numpy
+    integers >= 1; a float such as 1.5 fails rather than being truncated."""
+    try:
+        return len(values) > 0 and all(operator.index(v) >= 1 for v in values)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Static description of the two branches.
+    """Static description of the two branches; the block fields are the
+    run config's [model] keys.
+
+    Each branch runs one conv block (then a ReLU) per entry of its
+    channel list, with a temporal_kernel x spatial_kernel x
+    spatial_kernel kernel, zero padding of half the kernel and spatial
+    stride 2. The pulse branch keeps temporal stride 1; respiration
+    block i has temporal stride rsp_temporal_strides[i]. temporal_kernel
+    must be odd, so that a stride-1 block returns one frame per input
+    frame.
 
     attention_index selects the block after whose output the attention
     module runs (default 2, the penultimate of four). A branch with its
@@ -61,8 +67,11 @@ class ModelConfig:
 
     input_resolution: int = 72
     input_channels: int = 3
-    bvp_blocks: tuple = ()
-    rsp_blocks: tuple = ()
+    bvp_channels: tuple = (8, 12, 12, 8)
+    rsp_channels: tuple = (8, 12, 12, 8)
+    rsp_temporal_strides: tuple = (2, 2, 1, 1)
+    temporal_kernel: int = 3
+    spatial_kernel: int = 3
     attention_index: int = 2
     bvp_attention: AttentionConfig | None = None
     rsp_attention: AttentionConfig | None = None
@@ -73,22 +82,27 @@ class ModelConfig:
             raise DomainError(f"input_resolution must be 9, 36 or 72, got {self.input_resolution}")
         if self.input_channels not in (1, 3, 4):
             raise DomainError(f"input_channels must be 1, 3 or 4, got {self.input_channels}")
-        bvp = self.bvp_blocks or _default_blocks("bvp")
-        rsp = self.rsp_blocks or _default_blocks("rsp")
-        for blk in bvp:
-            if blk.temporal_stride != 1:
-                raise DomainError("bvp blocks must keep temporal_stride = 1")
-        nblocks = min(len(bvp), len(rsp))
+        for name in ("bvp_channels", "rsp_channels", "rsp_temporal_strides"):
+            value = getattr(self, name)
+            if not _positive_ints(value):
+                raise DomainError(f"{name} must list one or more integers >= 1, got {value!r}")
+        for name in ("temporal_kernel", "spatial_kernel"):
+            value = getattr(self, name)
+            if not _positive_ints((value,)):
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.temporal_kernel % 2 == 0:
+            raise DomainError(f"temporal_kernel must be odd, got {self.temporal_kernel}")
+        if len(self.rsp_channels) != len(self.rsp_temporal_strides):
+            raise DomainError("rsp_channels and rsp_temporal_strides must have equal length")
+        nblocks = min(len(self.bvp_channels), len(self.rsp_channels))
         if not 0 <= self.attention_index < nblocks:
             raise DomainError(f"attention_index {self.attention_index} outside 0..{nblocks - 1}")
-        object.__setattr__(self, "bvp_blocks", tuple(bvp))
-        object.__setattr__(self, "rsp_blocks", tuple(rsp))
 
     @property
     def rsp_upsample_factor(self):
         """Temporal downsampling of the respiration branch, which its final
         upsample undoes: the product of the rsp temporal strides."""
-        return math.prod(blk.temporal_stride for blk in self.rsp_blocks)
+        return math.prod(self.rsp_temporal_strides)
 
     def branch_in_channels(self, branch):
         # with a 4-channel (RGB + thermal) input the pulse branch reads
@@ -203,18 +217,22 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
 
 def _init_branch(cfg, branch):
     """Seeded uniform weights in [-k, k], k = 1/sqrt(fan_in), one
-    independent stream per branch so the branches do not entangle."""
-    blocks = cfg.bvp_blocks if branch == "bvp" else cfg.rsp_blocks
+    independent stream per branch so the branches do not entangle.
+    Returns (weights, bias, temporal stride) per block and the head."""
+    if branch == "bvp":
+        blocks = [(c, 1) for c in cfg.bvp_channels]
+    else:
+        blocks = list(zip(cfg.rsp_channels, cfg.rsp_temporal_strides))
+    kt, ks = cfg.temporal_kernel, cfg.spatial_kernel
     rng = np.random.default_rng([cfg.seed, 0 if branch == "bvp" else 1])
     in_c = cfg.branch_in_channels(branch)
     layers = []
-    for spec in blocks:
-        shape = (spec.out_channels, in_c, spec.temporal_kernel, spec.spatial_kernel, spec.spatial_kernel)
-        k = 1.0 / np.sqrt(in_c * spec.temporal_kernel * spec.spatial_kernel ** 2)
-        w = rng.uniform(-k, k, size=shape)
-        b = rng.uniform(-k, k, size=spec.out_channels)
-        layers.append((w, b, spec))
-        in_c = spec.out_channels
+    for out_c, stride in blocks:
+        k = 1.0 / np.sqrt(in_c * kt * ks ** 2)
+        w = rng.uniform(-k, k, size=(out_c, in_c, kt, ks, ks))
+        b = rng.uniform(-k, k, size=out_c)
+        layers.append((w, b, stride))
+        in_c = out_c
     k = 1.0 / np.sqrt(in_c)
     head_w = rng.uniform(-k, k, size=in_c)
     head_b = float(rng.uniform(-k, k))
@@ -258,10 +276,9 @@ def _branch_forward(clip, cfg, branch, target, fs):
 
     layers, head_w, head_b = _init_branch(cfg, branch)
     x = VoxelEmbedding(clip.data)
-    for i, (w, b, spec) in enumerate(layers):
-        pad = (spec.temporal_kernel // 2, spec.spatial_kernel // 2, spec.spatial_kernel // 2)
-        strides = (spec.temporal_stride, spec.spatial_stride, spec.spatial_stride)
-        x = conv3d_forward(x, w, b, strides, pad)
+    pad = (cfg.temporal_kernel // 2, cfg.spatial_kernel // 2, cfg.spatial_kernel // 2)
+    for i, (w, b, stride) in enumerate(layers):
+        x = conv3d_forward(x, w, b, (stride, SPATIAL_STRIDE, SPATIAL_STRIDE), pad)
         x = VoxelEmbedding(np.maximum(x.data, 0.0))
         if i == cfg.attention_index and att_cfg is not None:
             tgt = None

@@ -142,7 +142,7 @@ def test_metrics_reads_configured_band(tmp_path, capsys):
     assert main(args + ["--config", str(ini)]) == 0
     narrowed = capsys.readouterr().out
     assert narrowed != default
-    assert narrowed == dump_json(evaluate_windows(*waves, band=RateBand(0.6, 1.2, "hr")).as_dict())
+    assert narrowed == dump_json(evaluate_windows(*waves, band=RateBand(0.6, 1.2)).as_dict())
 
 
 # ---------------------------------------------------------------- factorize
@@ -372,6 +372,20 @@ def test_config_check_rejects_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ini", [
+    "[attention]\nvariant = xx\n",
+    "[model]\nattention_index = 7\n",
+    "[model]\nbvp_channels =\n",
+], ids=["attention-variant", "attention-index", "bvp-channels-empty"])
+def test_config_check_rejects_out_of_domain_values(tmp_path, capsys, ini):
+    # each of these passed the check, and every command then failed
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    assert main(["config", "--check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_config_requires_an_action(capsys):
     assert main(["config"]) == 2
     capsys.readouterr()
@@ -385,8 +399,16 @@ def test_config_requires_an_action(capsys):
     (["synth", "--fs", "inf"], None),
     (["attend", "--fs", "0"], None),
     (["metrics", "--fs", "25"], "[metrics]\npad_factor = 0\n"),
+    (["bench", "--repeats", "1", "--frames", "40"], "[model]\nrsp_temporal_strides = 0,2,1,1\n"),
+    (["demo-forward", "--frames", "40"], "[model]\nbvp_channels = 8,0,12,8\n"),
+    (["demo-forward", "--frames", "40"], "[model]\nspatial_kernel = 0\n"),
+    (["demo-forward", "--frames", "40"], "[model]\ntemporal_kernel = 2\n"),
+    (["demo-forward", "--frames", "40"], "[model]\nbvp_channels =\n"),
+    (["factorize"], "[attention]\nvariant = xx\n"),
+    (["factorize"], "[model]\nattention_index = 7\n"),
 ], ids=["factorize-seed", "attend-seed", "config-seed", "synth-fs-nan", "synth-fs-inf", "attend-fs-0",
-        "metrics-pad-factor"])
+        "metrics-pad-factor", "rsp-stride-0", "bvp-channels-0", "spatial-kernel-0", "temporal-kernel-even",
+        "bvp-channels-empty", "attention-variant", "attention-index"])
 def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv, ini):
     # each of these ended in a numpy or Python traceback
     sig = tmp_path / "sig.csv"

@@ -1,8 +1,44 @@
 import numpy as np
 import pytest
 
+from physfactor.attention import AttentionConfig
 from physfactor.config import defaults_text, load_run_config
-from physfactor.errors import InputFormatError
+from physfactor.errors import DomainError, InputFormatError
+from physfactor.metrics import HR_BAND, PAD_FACTOR, RR_BAND, WINDOW_S
+from physfactor.network import ModelConfig
+
+DEFAULTS_TEXT = """\
+[attention]
+variant = fsam
+rank = 8
+iterations = 4
+epsilon = 1e-06
+grbf_sigma = 2.0
+grbf_delta_t = 4
+
+[model]
+resolution = 72
+channels = 3
+bvp_channels = 8,12,12,8
+rsp_channels = 8,12,12,8
+temporal_kernel = 3
+spatial_kernel = 3
+rsp_temporal_strides = 2,2,1,1
+attention_index = 2
+use_attention = true
+
+[metrics]
+window_s = 30.0
+pad_factor = 8
+max_lag_s = auto
+hr_lo_hz = 0.6
+hr_hi_hz = 3.3
+rr_lo_hz = 0.1
+rr_hi_hz = 0.5
+
+[rng]
+seed = 0
+"""
 
 
 def test_defaults_load_without_file():
@@ -66,6 +102,22 @@ def test_env_var_pickup(tmp_path, monkeypatch):
 
 def test_seed_override():
     assert load_run_config(seed_override=42).seed == 42
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3"])
+def test_seed_override_must_be_an_integer(seed):
+    # 2.5 was truncated to 2 and True read as 1
+    with pytest.raises(DomainError, match="seed"):
+        load_run_config(seed_override=seed)
+
+
+def test_library_defaults_match_the_ini_defaults():
+    cfg = load_run_config()
+    att = AttentionConfig(grbf_sigma=2.0, grbf_delta_t=4)
+    assert cfg.model_config() == ModelConfig(bvp_attention=att, rsp_attention=att)
+    assert cfg.window_s == WINDOW_S and cfg.pad_factor == PAD_FACTOR
+    assert cfg.hr_band == HR_BAND and cfg.rr_band == RR_BAND
+    assert defaults_text() == DEFAULTS_TEXT
 
 
 def test_model_and_attention_construction():

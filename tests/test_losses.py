@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physfactor.errors import DomainError
 from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_loss
@@ -30,6 +32,21 @@ def test_neg_pearson_zero_variance():
     loss, grad = neg_pearson_loss(np.full(16, 2.0), y)
     assert loss == 1.0
     assert np.array_equal(grad, np.zeros(16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-1000, 1000), j=st.integers(-1000, 1000))
+def test_neg_pearson_scales_exactly(n, seed, k, j):
+    # magnitudes in [1, 2), so 2^k x and 2^j y stay normal and finite
+    # from about 1e-301 to 1e301; at 1e-160 the loss was -inf, at 1e200 NaN
+    rng = np.random.default_rng(seed)
+    x, y = rng.choice([-1.0, 1.0], size=(2, n)) * rng.uniform(1.0, 2.0, size=(2, n))
+    loss, grad = neg_pearson_loss(x, y)
+    loss_s, grad_s = neg_pearson_loss(np.ldexp(x, k), np.ldexp(y, j))
+    assert np.isfinite(loss_s) and np.isfinite(grad_s).all()
+    assert loss_s == loss
+    assert np.array_equal(grad_s, np.ldexp(grad, -k))
 
 
 def test_neg_pearson_preconditions():

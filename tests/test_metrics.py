@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from physfactor.errors import DomainError
@@ -29,8 +29,6 @@ def test_rate_band_validation():
     assert band_for("rr") is RR_BAND
     with pytest.raises(DomainError):
         RateBand(0.5, 0.2)
-    with pytest.raises(DomainError):
-        RateBand(0.1, 0.5, kind="xx")
     with pytest.raises(DomainError):
         band_for("xx")
 
@@ -339,6 +337,35 @@ def test_macc_identical_signals_exactly_one(n, seed, scale, offset, data):
     x = offset + scale * np.random.default_rng(seed).normal(size=n)
     wave = Waveform(x, FS)
     assert macc(wave, wave, data.draw(max_lags(n))) == 1.0
+
+
+# both overlap variances of 2.7e-132 are ~1e-264, and their product
+# underflowed to 0 in the all-lags pass (a divide-by-zero warning)
+UNDERFLOW_PAIR = (Waveform([0.0, 0.0, 2.7261272287857e-132], FS),) * 2
+RAMP_PAIR = (Waveform([1.0, 3.0, 2.0, 5.0, 4.0], FS),) * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=signal_pairs(), k=st.integers(-1000, 1000))
+@example(pair=UNDERFLOW_PAIR, k=0)
+@example(pair=RAMP_PAIR, k=-531)    # about 1e-160: sxx * syy underflowed and macc gave 0.0
+@example(pair=RAMP_PAIR, k=664)     # about 1e200: sxx * syy overflowed and macc gave 0.0
+def test_macc_is_scale_free(pair, k):
+    with np.errstate(over="ignore"):
+        scaled = [np.ldexp(w.samples, k) for w in pair]
+    # only scalings that are exact both ways
+    assume(all(np.array_equal(np.ldexp(s, -k), w.samples) for s, w in zip(scaled, pair)))
+    value = macc(*pair)
+    assert macc(*(Waveform(s, FS) for s in scaled)) == value
+    if pair[0] is pair[1]:
+        assert value == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 800), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-300, 300))
+def test_macc_identical_signals_exactly_one_at_any_scale(n, seed, exponent):
+    wave = Waveform(10.0 ** exponent * np.random.default_rng(seed).normal(size=n), FS)
+    assert macc(wave, wave) == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -7,7 +7,6 @@ from physfactor import network
 from physfactor.attention import AttentionConfig
 from physfactor.errors import DomainError
 from physfactor.network import (
-    ConvBlockSpec,
     ModelConfig,
     bvp_branch_forward,
     conv3d_forward,
@@ -284,15 +283,31 @@ def test_model_config_invariants():
     with pytest.raises(DomainError):
         ModelConfig(input_channels=2)
     with pytest.raises(DomainError):
-        ModelConfig(bvp_blocks=(ConvBlockSpec(8, temporal_stride=2),))
+        ModelConfig(rsp_temporal_strides=(2, 2, 1))
     with pytest.raises(DomainError):
         ModelConfig(attention_index=7)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bvp_channels", ()),
+    ("bvp_channels", (8, 0, 12, 8)),
+    ("rsp_channels", (8, 12.0, 12, 8)),
+    ("rsp_temporal_strides", (0, 2, 1, 1)),
+    ("spatial_kernel", 0),
+    ("temporal_kernel", 2),
+    ("temporal_kernel", 3.0),
+])
+def test_model_config_refuses_out_of_domain_blocks(field, value):
+    # unchecked, these fail inside the forward pass (numpy errors, a
+    # division by zero, an empty branch) or, for an even temporal kernel,
+    # make the pulse branch return more samples than frames
+    with pytest.raises(DomainError, match=field):
+        ModelConfig(**{field: value})
+
+
 def test_rsp_upsample_factor_is_the_stride_product():
     assert ModelConfig().rsp_upsample_factor == 4
-    blocks = tuple(ConvBlockSpec(8, temporal_stride=s) for s in (3, 1, 2, 1))
-    assert ModelConfig(rsp_blocks=blocks).rsp_upsample_factor == 6
+    assert ModelConfig(rsp_temporal_strides=(3, 1, 2, 1)).rsp_upsample_factor == 6
 
 
 def test_forward_multitask_routing():
