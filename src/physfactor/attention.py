@@ -25,6 +25,8 @@ import numpy as np
 from .errors import DomainError
 from .factorize import (
     FactorizationResult,
+    _grbf_params,
+    _index,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,
@@ -63,10 +65,14 @@ class AttentionConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown attention variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.iterations < 1:
-            raise DomainError("attention iterations must be >= 1")
-        if self.variant == "grbf" and (self.grbf_sigma is None or self.grbf_delta_t is None):
+        for name in ("rank", "iterations"):
+            if _index(getattr(self, name), name) < 1:
+                raise DomainError(f"attention {name} must be >= 1, got {getattr(self, name)}")
+        sigma, delta_t = self.grbf_sigma, self.grbf_delta_t
+        if self.variant == "grbf" and (sigma is None or delta_t is None):
             raise DomainError("grbf variant needs grbf_sigma and grbf_delta_t")
+        # each checked where given, whatever the variant
+        _grbf_params(1.0 if sigma is None else sigma, 1 if delta_t is None else delta_t, "grbf_")
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ def solve(v, cfg, target=None):
     if cfg.variant == "fsam":
         return nmf_mu(v, cfg.rank, cfg.iterations, cfg.seed)
     if cfg.variant == "grbf":
-        basis = grbf_basis(v.m, cfg.grbf_sigma, cfg.grbf_delta_t).phi
+        basis = grbf_basis(v.m, cfg.grbf_sigma, cfg.grbf_delta_t)
     elif target is None:
         raise DomainError("tsfm needs a target signal")
     else:

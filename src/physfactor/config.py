@@ -7,6 +7,7 @@ document with every supported key and its default.
 """
 
 import configparser
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -111,6 +112,16 @@ class RunConfig:
     rr_band: RateBand
     seed: int
 
+    def __post_init__(self):
+        # the metrics keys as estimate_rate_fft, split_windows and macc
+        # check them, less what depends on the signal's sampling rate
+        if not hasattr(self.pad_factor, "__index__") or operator.index(self.pad_factor) < 1:
+            raise DomainError(f"[metrics] pad_factor must be an integer >= 1, got {self.pad_factor}")
+        if not 0 < self.window_s < math.inf:
+            raise DomainError(f"[metrics] window_s must be positive and finite, got {self.window_s}")
+        if self.max_lag_s is not None and not self.max_lag_s >= 0:
+            raise DomainError(f"[metrics] max_lag_s must be >= 0 or auto, got {self.max_lag_s}")
+
     def band(self, kind):
         if kind == "hr":
             return self.hr_band
@@ -175,8 +186,9 @@ def load_run_config(path=None, seed_override=None):
     or pure defaults when neither is given.
 
     Unknown sections or keys raise InputFormatError. A negative or
-    non-integer seed, or an [attention] or [model] value that
-    AttentionConfig or ModelConfig refuses, raises DomainError.
+    non-integer seed, an out-of-domain [metrics] value, or an
+    [attention] or [model] value that AttentionConfig or ModelConfig
+    refuses, raises DomainError.
     """
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None

@@ -33,23 +33,27 @@ bit for bit those of the unscaled update, and solver(2^k V) is exactly
 Solutions are not unique, so both solvers are seeded and deterministic:
 same input, rank, iterations and seed gives bitwise identical factors.
 
-Both grbf stages skip the bank's exact zeros. `grbf_basis` evaluates
-each bump only within `reach` rows of its centre; further out the
-Gaussian underflows to 0.0, so the dense bank is bitwise the full
-formula's. `constrained_nmf_mu` cuts the basis into row blocks of
-`_BLOCK_ROWS` rows, each with the span of columns that holds its
-non-zero entries (`_row_blocks`). B^T B and B^T V accumulate block by
-block over those spans, and each sweep forms B P one block at a time.
-A basis of at most `_BLOCK_ROWS` rows is one block over every column,
-so its results are those of the dense products bit for bit; taller
-bases agree with them within rounding.
+The grbf bank is a band (see GrbfBasis): each bump is cut to 0 below
+2^-104 of its peak, at the profile's own rounding, so the bank differs
+from the uncut formula by far less than its rounding, and it stores
+only the 2 reach + 1 entries of one bump. `constrained_nmf_mu` cuts a
+basis into row blocks of `_BLOCK_ROWS` rows, each with the span of
+columns that holds its non-zero entries (`_row_blocks`): a caller's
+array is checked and scanned for them, while a GrbfBasis, built from
+validated parameters, gives its spans by arithmetic and fills each
+block from its profile without building the dense bank. B^T B and
+B^T V accumulate block by block over those spans, and each sweep forms
+B P one block at a time. A basis of at most `_BLOCK_ROWS` rows is one
+block over every column, so its results are those of the dense products
+bit for bit; taller bases agree with them within rounding.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .tensors import EmbeddingMatrix, Waveform
@@ -57,10 +61,12 @@ from .tensors import EmbeddingMatrix, Waveform
 # Rows per block of a constraint basis in constrained_nmf_mu.
 _BLOCK_ROWS = 128
 
-# exp(-x) rounds to 0.0 in float64 for every x above about 745.13 (half
-# the smallest subnormal), so a bump is exactly zero where
-# d^2 / (2 sigma^2) exceeds this.
-_EXP_ZERO_ARG = 746.0
+# A bump entry below 2^-104 = eps^2 of the peak 1.0 is cut to 0 (see
+# GrbfBasis). exp(-d^2 / (2 sigma^2)) falls below it where the argument
+# exceeds 104 ln 2 = 72.09, that is beyond sigma sqrt(208 ln 2) = 12.007
+# sigma rows from the centre.
+_BUMP_CUT = 2.0 ** -104
+_BUMP_CUT_REACH = math.sqrt(208.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -75,12 +81,67 @@ class FactorPair:
 
 @dataclass(frozen=True)
 class GrbfBasis:
-    """Bank of Gaussian bumps, one column per center, spaced delta_t samples."""
+    """Bank of Gaussian bumps, one column per centre, spaced delta_t
+    rows, stored as a band.
 
-    phi: np.ndarray
+    Entry (row, j) of the m x k bank is exp(-(row - j delta_t)^2 /
+    (2 sigma^2)) for j = 0..k-1, k = floor((m - 1)/delta_t) + 1 (the
+    last centre still falls inside the signal), cut to 0 below 2^-104.
+
+    The cut lies at the profile's own rounding. 2^-104 is eps^2 (eps =
+    2^-52). Each column peaks at exactly 1.0 and each entry is rounded
+    to within eps/2 of itself, so rounding already moves a column by up
+    to about eps of its norm; the entries cut, beyond about 12 sigma,
+    come to less than eps^2 of it (0.6 eps^2 at most for sigma from
+    1e-3 to 1e3). Uncut, the bumps run out to where exp underflows
+    (77 rows at sigma = 2, against 24), and BLAS is slow on the
+    subnormal outer entries.
+
+    m >= 2 and delta_t >= 1 are integers (a float such as 2.5 is
+    refused rather than truncated); sigma is positive and finite with
+    2 sigma^2 finite and non-zero in float64. k, reach (the largest
+    offset from a centre whose entry is non-zero) and the read-only
+    profile (the 2 reach + 1 entries at offsets -reach..reach) derive
+    from them, and `phi` builds the dense bank from the band on demand,
+    so the band and the bank cannot disagree.
+    """
+
+    m: int
     sigma: float
     delta_t: int
-    k: int
+    k: int = field(init=False)
+    reach: int = field(init=False)
+    profile: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = _index(self.m, "grbf_basis m")
+        if m < 2:
+            raise DomainError(f"grbf_basis needs m >= 2, got {m}")
+        sigma, two_var, delta_t = _grbf_params(self.sigma, self.delta_t, "grbf_basis ")
+        # every entry beyond `bound` rows from its centre is below the cut
+        bound = min(m - 1, math.ceil(sigma * _BUMP_CUT_REACH) + 1)
+        d = np.arange(-bound, bound + 1)
+        with np.errstate(over="ignore"):    # d^2 / 2 sigma^2 -> inf gives exp -> 0
+            profile = np.exp(-(d * d) / two_var)
+        reach = bound - int(np.argmax(profile >= _BUMP_CUT))
+        profile = profile[bound - reach:bound + reach + 1]
+        profile.flags.writeable = False
+        for name, value in (("m", m), ("sigma", sigma), ("delta_t", delta_t),
+                            ("k", (m - 1) // delta_t + 1), ("reach", reach), ("profile", profile)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self):
+        """(m, k), the dense bank's shape."""
+        return (self.m, self.k)
+
+    @property
+    def phi(self):
+        """The dense m x k bank, built from the band on every access
+        (C-contiguous, read-only)."""
+        phi = _band_block(self, slice(0, self.m), slice(0, self.k))
+        phi.flags.writeable = False
+        return phi
 
 
 @dataclass(frozen=True)
@@ -174,6 +235,20 @@ def _index(value, name):
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _grbf_params(sigma, delta_t, prefix):
+    """(sigma, 2 sigma^2, delta_t) for a bump bank: delta_t an integer
+    >= 1, sigma positive and finite with 2 sigma^2 finite and non-zero
+    in float64. A DomainError names each as prefix + name."""
+    delta_t = _index(delta_t, f"{prefix}delta_t")
+    if delta_t < 1:
+        raise DomainError(f"{prefix}delta_t must be >= 1, got {delta_t}")
+    with np.errstate(over="ignore"):    # an overflow to inf is rejected below
+        two_var = 2.0 * np.float64(sigma) ** 2
+    if not (0 < sigma < np.inf and 0 < two_var < np.inf):
+        raise DomainError(f"{prefix}sigma must be > 0 with a finite, non-zero 2 sigma^2, got {sigma}")
+    return float(sigma), two_var, delta_t
+
+
 def _mu_step(x, num, den):
     """The Lee & Seung update x <- x * num / den in place, with 0/0 -> 0."""
     x *= np.divide(num, den, out=np.zeros_like(den), where=den > 0)
@@ -261,23 +336,33 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
 
     Args:
         v: non-negative, finite EmbeddingMatrix or 2D array (M x N).
-        basis: fixed non-negative M x K matrix (bump bank or target column).
+        basis: fixed non-negative M x K basis: a GrbfBasis, whose row
+            blocks are filled from its band, or an array (bump bank or
+            target column), which is checked and scanned.
         rank: inner rank L, an integer >= 1.
         iterations: full update sweeps, an integer >= 1.
         seed: RNG seed for the factor init, an integer >= 0.
     """
     a, e = _nonneg_matrix(v, "constrained_nmf_mu")
-    b = np.asarray(basis, dtype=np.float64)
-    if b.ndim == 1:
-        b = b[:, None]
-    eb = _check_nonneg(b, "constraint basis")
+    if isinstance(basis, GrbfBasis):
+        # built from validated parameters: non-negative, finite and
+        # peaking at exactly 1.0, so it needs no check and no scaling
+        b, eb = basis, 0
+        blocks = [(rows, cols, _band_block(b, rows, cols)) for rows, cols in _row_blocks(b)]
+    else:
+        b = np.asarray(basis, dtype=np.float64)
+        if b.ndim == 1:
+            b = b[:, None]
+        eb = _check_nonneg(b, "constraint basis")
+        b = _shift(b, -eb)
+        # contiguous like the band's blocks, so that both take the same
+        # BLAS calls (numpy multiplies a strided one-column view itself)
+        blocks = [(rows, cols, np.ascontiguousarray(b[rows, cols])) for rows, cols in _row_blocks(b)]
     if b.shape[0] != a.shape[0]:
         raise DomainError(
             f"basis has {b.shape[0]} rows but the matrix has {a.shape[0]}"
         )
-    b = _shift(b, -eb)
 
-    blocks = [(rows, cols, b[rows, cols]) for rows, cols in _row_blocks(b)]
     k = b.shape[1]
     btb = np.zeros((k, k))
     btv = np.zeros((k, a.shape[1]))
@@ -302,59 +387,53 @@ def _row_blocks(b):
     Returns (rows, cols) slice pairs, one per block: cols spans the
     first to the last column with a non-zero entry in those rows (empty
     for an all-zero block), so every non-zero entry of b lies in some
-    b[rows, cols]. A basis of at most _BLOCK_ROWS rows is a single block
-    over every column, which keeps its products those of the whole
-    matrix.
+    b[rows, cols]. An array is scanned for them; in a GrbfBasis column j
+    is non-zero exactly in the rows within reach of j delta_t, so its
+    spans are found by arithmetic. A basis of at most _BLOCK_ROWS rows is
+    a single block over every column, which keeps its products those of
+    the whole matrix.
     """
     m, k = b.shape
     if m <= _BLOCK_ROWS:
         return [(slice(0, m), slice(0, k))]
+    if isinstance(b, GrbfBasis):
+        def span(r0, r1):
+            return max(-((b.reach - r0) // b.delta_t), 0), min((r1 - 1 + b.reach) // b.delta_t + 1, k)
+    else:
+        def span(r0, r1):
+            nz = np.flatnonzero(b[r0:r1].any(axis=0))
+            return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
     blocks = []
     for r0 in range(0, m, _BLOCK_ROWS):
-        rows = slice(r0, min(r0 + _BLOCK_ROWS, m))
-        nz = np.flatnonzero(b[rows].any(axis=0))
-        blocks.append((rows, slice(int(nz[0]), int(nz[-1]) + 1) if nz.size else slice(0, 0)))
+        r1 = min(r0 + _BLOCK_ROWS, m)
+        j0, j1 = span(r0, r1)
+        blocks.append((slice(r0, r1), slice(j0, j1) if j0 < j1 else slice(0, 0)))
     return blocks
 
 
-def grbf_basis(m, sigma, delta_t):
-    """Build the M x K Gaussian radial bump bank.
+def _band_block(g, rows, cols):
+    """g.phi[rows, cols], for unit-step slices whose every column has a
+    centre within reach of the rows (as _row_blocks gives them), as a
+    fresh C-contiguous array filled from the profile.
 
-    Entry (row, k) = exp(-(row - k*delta_t)^2 / (2 sigma^2)) with
-    k = 0..K-1 and K = floor((m - 1)/delta_t) + 1, so the last center
-    still falls inside the signal. m >= 2 and delta_t >= 1 are integers
-    (a float such as 2.5 is refused rather than truncated); sigma must
-    be positive and finite with 2 sigma^2 finite and non-zero in
-    float64.
-
-    Only the rows within reach = ceil(sigma sqrt(2 * 746)) of a centre
-    are evaluated; further out the entry underflows to exactly 0.0, so
-    phi is bitwise the dense formula's.
+    Entry (r, j) is profile[r - j delta_t + reach], or 0 where that
+    index falls outside the profile. With n rows and the profile padded
+    by n - 1 zeros on either side, column j is the n entries of the
+    padded profile from r0 - j delta_t + reach + n - 1 on.
     """
-    m = _index(m, "grbf_basis m")
-    delta_t = _index(delta_t, "grbf_basis delta_t")
-    if m < 2:
-        raise DomainError(f"grbf_basis needs m >= 2, got {m}")
-    if delta_t < 1:
-        raise DomainError(f"grbf_basis needs delta_t >= 1, got {delta_t}")
-    with np.errstate(over="ignore"):    # an overflow to inf is rejected below
-        two_var = 2.0 * np.float64(sigma) ** 2
-    if not (0 < sigma < np.inf and 0 < two_var < np.inf):
-        raise DomainError(f"grbf_basis needs sigma > 0 with a finite, non-zero 2 sigma^2, got {sigma}")
-    k = (m - 1) // delta_t + 1
-    # beyond reach rows from its centre a bump is exactly 0.0, so one
-    # profile over -reach..reach, placed at every centre, is the bank
-    reach = int(min(m - 1, np.ceil(sigma * np.sqrt(2.0 * _EXP_ZERO_ARG))))
-    d = np.arange(-reach, reach + 1)
-    with np.errstate(over="ignore"):    # d^2 / 2 sigma^2 -> inf gives exp -> 0
-        profile = np.exp(-(d * d) / two_var)
-    phi = np.zeros((m, k))
-    for j in range(k):
-        c = j * delta_t
-        lo, hi = max(c - reach, 0), min(c + reach + 1, m)
-        phi[lo:hi, j] = profile[lo - c + reach:hi - c + reach]
-    phi.flags.writeable = False
-    return GrbfBasis(phi, float(sigma), delta_t, k)
+    n = rows.stop - rows.start
+    padded = np.zeros(2 * (g.reach + n) - 1)
+    padded[n - 1:n + 2 * g.reach] = g.profile
+    starts = rows.start + g.reach + n - 1 - g.delta_t * np.arange(cols.start, cols.stop)
+    return np.ascontiguousarray(sliding_window_view(padded, n)[starts].T)
+
+
+def grbf_basis(m, sigma, delta_t):
+    """The M x K Gaussian radial bump bank, cut to 0 below 2^-104 of its
+    peak, as a band; see GrbfBasis. Only the 2 reach + 1 entries of one
+    bump are evaluated, and constrained_nmf_mu never builds the dense
+    bank `phi`."""
+    return GrbfBasis(m, sigma, delta_t)
 
 
 def target_basis(y, m, floor=1e-3):

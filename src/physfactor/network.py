@@ -95,7 +95,13 @@ class ModelConfig:
         if len(self.rsp_channels) != len(self.rsp_temporal_strides):
             raise DomainError("rsp_channels and rsp_temporal_strides must have equal length")
         nblocks = min(len(self.bvp_channels), len(self.rsp_channels))
-        if not 0 <= self.attention_index < nblocks:
+        # a fractional index would match no block, and attention would
+        # silently never run
+        try:
+            index = operator.index(self.attention_index)
+        except TypeError:
+            raise DomainError(f"attention_index must be an integer, got {self.attention_index!r}") from None
+        if not 0 <= index < nblocks:
             raise DomainError(f"attention_index {self.attention_index} outside 0..{nblocks - 1}")
 
     @property

@@ -93,6 +93,27 @@ def test_config_validation():
         AttentionConfig(variant="grbf")  # sigma and delta_t missing
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    ({"rank": 0}, "rank"),
+    ({"rank": 2.5}, "rank"),
+    ({"iterations": 1.5}, "iterations"),
+    ({"grbf_sigma": -1.0, "grbf_delta_t": 4}, "grbf_sigma"),
+    ({"grbf_sigma": np.nan, "grbf_delta_t": 4}, "grbf_sigma"),
+    ({"grbf_sigma": 2.0, "grbf_delta_t": 0}, "grbf_delta_t"),
+    ({"grbf_sigma": 2.0, "grbf_delta_t": 2.5}, "grbf_delta_t"),
+    ({"grbf_sigma": 0.0}, "grbf_sigma"),
+    ({"grbf_delta_t": 0}, "grbf_delta_t"),
+])
+@pytest.mark.parametrize("variant", ["fsam", "grbf"])
+def test_config_checks_rank_and_grbf_parameters_where_given(kwargs, key, variant):
+    # refused here rather than by the solver or grbf_basis, whatever the
+    # variant, so that a run config fails at load time
+    base = {"grbf_sigma": 2.0, "grbf_delta_t": 4} if variant == "grbf" else {}
+    with pytest.raises(DomainError, match=key):
+        AttentionConfig(variant=variant, **{**base, **kwargs})
+
+
+
 def test_excite_passthrough_and_identity():
     eps = _rand_eps((8, 2, 3, 3), seed=5)
     zeros = VoxelEmbedding(np.zeros(eps.shape))

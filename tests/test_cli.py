@@ -376,7 +376,14 @@ def test_config_check_rejects_bad_file(tmp_path, capsys):
     "[attention]\nvariant = xx\n",
     "[model]\nattention_index = 7\n",
     "[model]\nbvp_channels =\n",
-], ids=["attention-variant", "attention-index", "bvp-channels-empty"])
+    "[attention]\nrank = 0\n",
+    "[attention]\ngrbf_sigma = -1\n",
+    "[attention]\ngrbf_delta_t = 0\n",
+    "[metrics]\npad_factor = 0\n",
+    "[metrics]\nwindow_s = -5\n",
+    "[metrics]\nmax_lag_s = nan\n",
+], ids=["attention-variant", "attention-index", "bvp-channels-empty", "rank-0", "grbf-sigma-negative",
+        "grbf-delta-t-0", "pad-factor-0", "window-s-negative", "max-lag-s-nan"])
 def test_config_check_rejects_out_of_domain_values(tmp_path, capsys, ini):
     # each of these passed the check, and every command then failed
     path = tmp_path / "run.ini"
@@ -384,6 +391,8 @@ def test_config_check_rejects_out_of_domain_values(tmp_path, capsys, ini):
     assert main(["config", "--check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    key = ini.split("\n")[1].split("=")[0].strip()
+    assert key in err
 
 
 def test_config_requires_an_action(capsys):

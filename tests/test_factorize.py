@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from physfactor.errors import DomainError
 from physfactor.factorize import (
     _BLOCK_ROWS,
+    GrbfBasis,
     _exponent,
     _row_blocks,
     constrained_nmf_mu,
@@ -372,15 +375,24 @@ def test_constrained_nmf_mu_matches_unshared_loop(problem):
 
 # ------------------------------------------- oracle: the dense bank and solve
 
-# The bump bank as it was built before it skipped its exact zeros: every
-# entry evaluated. The banded bank must equal it bit for bit.
+# The bump bank by its formula, every entry evaluated. grbf_basis cuts
+# the entries below 2^-104 to 0 and must equal the cut formula bit for
+# bit; solves on it stay within rounding of solves on the uncut bank.
 
 
-def _grbf_basis_dense(m, sigma, delta_t):
+def _grbf_basis_dense(m, sigma, delta_t, cut=True):
     k = (m - 1) // delta_t + 1
     rows = np.arange(m)[:, None]
     centers = np.arange(k)[None, :] * delta_t
-    return np.exp(-((rows - centers) ** 2) / (2.0 * sigma ** 2))
+    phi = np.exp(-((rows - centers) ** 2) / (2.0 * sigma ** 2))
+    if cut:
+        phi[phi < 2.0 ** -104] = 0.0
+    return phi
+
+
+def _sigmas():
+    """sigma from 1e-3 to 1e3, log-uniform, with both ends."""
+    return st.one_of(st.sampled_from((1e-3, 1e3)), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,6 +405,72 @@ def test_grbf_basis_matches_dense_formula(data):
     assert not phi.flags.writeable
     assert phi.dtype == np.float64 and phi.flags.c_contiguous
     assert np.array_equal(phi, _grbf_basis_dense(m, sigma, delta_t))
+
+
+@st.composite
+def grbf_problems(draw):
+    """V, a grbf bank of 2 to 600 rows (either side of _BLOCK_ROWS),
+    rank, iterations and seed."""
+    m = draw(st.integers(2, 600))
+    g = grbf_basis(m, draw(_sigmas()), draw(st.integers(1, m)))
+    a = _nonneg(draw, (m, draw(st.integers(1, 24))))
+    return a, g, draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grbf_problems())
+def test_constrained_nmf_mu_band_matches_dense_bank(problem):
+    # the blocks filled from the band against the checked and scanned
+    # dense bank, which stays the oracle
+    a, g, rank, iterations, seed = problem
+    res = constrained_nmf_mu(a, g, rank, iterations, seed)
+    want = constrained_nmf_mu(a, g.phi, rank, iterations, seed)
+    assert np.array_equal(res.factors.w, want.factors.w)
+    assert np.array_equal(res.factors.h, want.factors.h)
+    assert np.array_equal(res.low_rank, want.low_rank)
+    assert np.array_equal(res.error_trace, want.error_trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_band_row_blocks_match_the_scan(data):
+    m = data.draw(st.integers(2, 600))
+    g = grbf_basis(m, data.draw(_sigmas()), data.draw(st.integers(1, m)))
+    phi = g.phi
+    assert _row_blocks(g) == _row_blocks(phi)
+    # reach is the largest offset whose entry is non-zero
+    assert g.profile.shape == (2 * g.reach + 1,) and g.profile[0] > 0.0
+    assert g.reach == m - 1 or not np.any(phi[g.reach + 1:, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(grbf_problems())
+# V is zero where the one bump is not cut: the uncut bank's low_rank is
+# 1.4e-90 in norm, all of it from the cut tail, and the cut bank's is 0
+@example((np.r_[0.0, 0.0, np.full(189, 1e-3)][:, None], grbf_basis(191, 0.1, 191), 1, 1, 0))
+def test_cut_bank_solves_within_rounding_of_the_uncut_bank(problem):
+    # the bound is relative to V, the problem's own scale: where V is
+    # all but orthogonal to the bank, low_rank is itself tail-sized
+    a, g, rank, iterations, seed = problem
+    low = constrained_nmf_mu(a, g, rank, iterations, seed).low_rank
+    full = _grbf_basis_dense(g.m, g.sigma, g.delta_t, cut=False)
+    want = constrained_nmf_mu(a, full, rank, iterations, seed).low_rank
+    assert np.linalg.norm(low - want) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_grbf_band_cannot_disagree_with_its_bank():
+    g = grbf_basis(300, 2.0, 4)
+    # k, reach and profile derive from m, sigma and delta_t
+    with pytest.raises(TypeError):
+        GrbfBasis(300, 2.0, 4, profile=-np.ones(49))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.profile = -g.profile
+    with pytest.raises(ValueError, match="read-only"):
+        g.profile[0] = -1.0
+    wider = dataclasses.replace(g, sigma=3.0)
+    assert wider.reach == grbf_basis(300, 3.0, 4).reach > g.reach
+    with pytest.raises(DomainError, match="sigma"):
+        dataclasses.replace(g, sigma=-1.0)
 
 
 @st.composite

@@ -296,11 +296,13 @@ def test_model_config_invariants():
     ("spatial_kernel", 0),
     ("temporal_kernel", 2),
     ("temporal_kernel", 3.0),
+    ("attention_index", 1.5),
 ])
 def test_model_config_refuses_out_of_domain_blocks(field, value):
     # unchecked, these fail inside the forward pass (numpy errors, a
     # division by zero, an empty branch) or, for an even temporal kernel,
-    # make the pulse branch return more samples than frames
+    # make the pulse branch return more samples than frames; a fractional
+    # attention_index matches no block, so attention silently never runs
     with pytest.raises(DomainError, match=field):
         ModelConfig(**{field: value})
 
