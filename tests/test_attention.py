@@ -113,7 +113,6 @@ def test_config_checks_rank_and_grbf_parameters_where_given(kwargs, key, variant
         AttentionConfig(variant=variant, **{**base, **kwargs})
 
 
-
 def test_excite_passthrough_and_identity():
     eps = _rand_eps((8, 2, 3, 3), seed=5)
     zeros = VoxelEmbedding(np.zeros(eps.shape))

@@ -399,7 +399,7 @@ def _sigmas():
 @given(data=st.data())
 def test_grbf_basis_matches_dense_formula(data):
     m = data.draw(st.integers(2, 600))
-    sigma = data.draw(st.one_of(st.sampled_from((1e-3, 1e3)), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)))
+    sigma = data.draw(_sigmas())
     delta_t = data.draw(st.integers(1, m))
     phi = grbf_basis(m, sigma, delta_t).phi
     assert not phi.flags.writeable
