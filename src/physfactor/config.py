@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .attention import AttentionConfig
 from .errors import DomainError, InputFormatError
+from .factorize import _index
 from .metrics import RateBand
 from .network import ModelConfig
 
@@ -115,7 +116,7 @@ class RunConfig:
     def __post_init__(self):
         # the metrics keys as estimate_rate_fft, split_windows and macc
         # check them, less what depends on the signal's sampling rate
-        if not hasattr(self.pad_factor, "__index__") or operator.index(self.pad_factor) < 1:
+        if _index(self.pad_factor, "[metrics] pad_factor") < 1:
             raise DomainError(f"[metrics] pad_factor must be an integer >= 1, got {self.pad_factor}")
         if not 0 < self.window_s < math.inf:
             raise DomainError(f"[metrics] window_s must be positive and finite, got {self.window_s}")

@@ -51,6 +51,7 @@ bit for bit; taller bases agree with them within rounding.
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -102,8 +103,8 @@ class GrbfBasis:
     2 sigma^2 finite and non-zero in float64. k, reach (the largest
     offset from a centre whose entry is non-zero) and the read-only
     profile (the 2 reach + 1 entries at offsets -reach..reach) derive
-    from them, and `phi` builds the dense bank from the band on demand,
-    so the band and the bank cannot disagree.
+    from them, and `phi` builds the dense bank from the band on first
+    access, so the band and the bank cannot disagree.
     """
 
     m: int
@@ -135,9 +136,9 @@ class GrbfBasis:
         """(m, k), the dense bank's shape."""
         return (self.m, self.k)
 
-    @property
+    @cached_property
     def phi(self):
-        """The dense m x k bank, built from the band on every access
+        """The dense m x k bank, built from the band on first access
         (C-contiguous, read-only)."""
         phi = _band_block(self, slice(0, self.m), slice(0, self.k))
         phi.flags.writeable = False

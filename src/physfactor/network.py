@@ -31,6 +31,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
 from .errors import DomainError
+from .factorize import _index
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 
@@ -97,11 +98,7 @@ class ModelConfig:
         nblocks = min(len(self.bvp_channels), len(self.rsp_channels))
         # a fractional index would match no block, and attention would
         # silently never run
-        try:
-            index = operator.index(self.attention_index)
-        except TypeError:
-            raise DomainError(f"attention_index must be an integer, got {self.attention_index!r}") from None
-        if not 0 <= index < nblocks:
+        if not 0 <= _index(self.attention_index, "attention_index") < nblocks:
             raise DomainError(f"attention_index {self.attention_index} outside 0..{nblocks - 1}")
 
     @property

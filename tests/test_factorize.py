@@ -223,6 +223,25 @@ def test_solvers_reject_non_finite_input():
             constrained_nmf_mu(v, np.where(b > 0.5, bad, b), rank=1)
 
 
+# ------------------------------------------------------- the dense bump bank
+
+# The bump bank by its formula, every entry evaluated. grbf_basis cuts
+# the entries below 2^-104 to 0; uncut (cut=False), a bump runs out to
+# where exp underflows, through subnormal entries. The array-based
+# solver tests take the uncut bank, whose subnormal tails reach the
+# solver's underflow cases.
+
+
+def _grbf_basis_dense(m, sigma, delta_t, cut=True):
+    k = (m - 1) // delta_t + 1
+    rows = np.arange(m)[:, None]
+    centers = np.arange(k)[None, :] * delta_t
+    phi = np.exp(-((rows - centers) ** 2) / (2.0 * sigma ** 2))
+    if cut:
+        phi[phi < 2.0 ** -104] = 0.0
+    return phi
+
+
 # ------------------------------------------------- oracle: the unshared loops
 
 # The two solvers as they were written before they shared one driver:
@@ -295,7 +314,7 @@ def constrained_problems(draw, scales=(1e-3, 1.0, 1e3)):
     a = _nonneg(draw, (m, n), scales)
     kind = draw(st.sampled_from(("random", "grbf", "target")))
     if kind == "grbf" and m >= 2:
-        b = grbf_basis(m, draw(st.floats(0.5, 6.0)), draw(st.integers(1, m))).phi
+        b = _grbf_basis_dense(m, draw(st.floats(0.5, 6.0)), draw(st.integers(1, m)), cut=False)
     elif kind == "target" and m >= 2:
         y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(m)
         assume(y.max() > y.min())
@@ -363,10 +382,10 @@ def test_nmf_mu_matches_unshared_loop(problem):
 @settings(max_examples=200, deadline=None)
 @given(constrained_problems())
 # low_rank[19] is subnormal: 1.8189926e-317 here, 1.818992e-317 in the loop
-@example((1e-3 * np.random.default_rng(0).random((20, 1)), grbf_basis(20, 0.5, 20).phi, 1, 1, 0))
+@example((1e-3 * np.random.default_rng(0).random((20, 1)), _grbf_basis_dense(20, 0.5, 20, cut=False), 1, 1, 0))
 # low_rank[21, 1] is 4 subnormal ulps from the loop's: the loop's B P
 # underflows there, and Q (up to 7.9) multiplies that rounding
-@example((1e-3 * np.random.default_rng(598).random((22, 8)), grbf_basis(22, 0.56, 22).phi, 2, 4, 1))
+@example((1e-3 * np.random.default_rng(598).random((22, 8)), _grbf_basis_dense(22, 0.56, 22, cut=False), 2, 4, 1))
 def test_constrained_nmf_mu_matches_unshared_loop(problem):
     a, b, rank, iterations, seed = problem
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
@@ -375,19 +394,8 @@ def test_constrained_nmf_mu_matches_unshared_loop(problem):
 
 # ------------------------------------------- oracle: the dense bank and solve
 
-# The bump bank by its formula, every entry evaluated. grbf_basis cuts
-# the entries below 2^-104 to 0 and must equal the cut formula bit for
+# grbf_basis must equal the cut formula (_grbf_basis_dense) bit for
 # bit; solves on it stay within rounding of solves on the uncut bank.
-
-
-def _grbf_basis_dense(m, sigma, delta_t, cut=True):
-    k = (m - 1) // delta_t + 1
-    rows = np.arange(m)[:, None]
-    centers = np.arange(k)[None, :] * delta_t
-    phi = np.exp(-((rows - centers) ** 2) / (2.0 * sigma ** 2))
-    if cut:
-        phi[phi < 2.0 ** -104] = 0.0
-    return phi
 
 
 def _sigmas():
@@ -483,7 +491,7 @@ def tall_bases(draw, min_rows=2):
     kind = draw(st.sampled_from(("grbf", "target", "random")))
     if kind == "grbf":
         sigma = draw(st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e))
-        return grbf_basis(m, sigma, draw(st.integers(1, max(1, m // 4)))).phi
+        return _grbf_basis_dense(m, sigma, draw(st.integers(1, max(1, m // 4))), cut=False)
     if kind == "target":
         return target_basis(rng.random(m), m).basis
     b = rng.random((m, draw(st.integers(1, 24))))
@@ -592,7 +600,7 @@ def test_nmf_mu_scale_equivariant(scaled):
 @settings(max_examples=200, deadline=None)
 @given(_scaled(constrained_problems()))
 # low_rank[19] is subnormal: 3.6379847e-317 at 2 V, 2 x 1.8189926e-317 at V
-@example(((1e-3 * np.random.default_rng(0).random((20, 1)), grbf_basis(20, 0.5, 20).phi, 1, 1, 0), 2.0))
+@example(((1e-3 * np.random.default_rng(0).random((20, 1)), _grbf_basis_dense(20, 0.5, 20, cut=False), 1, 1, 0), 2.0))
 def test_constrained_nmf_mu_scale_equivariant(scaled):
     # constrained_nmf_mu(c V) is exactly c constrained_nmf_mu(V) away
     # from underflow: c on P, Q unchanged. With V at 1e-3, a grbf bank
