@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .factorize import (
     FactorizationResult,
     _grbf_params,
-    _index,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,
@@ -50,7 +49,8 @@ class AttentionConfig:
 
     pre_mix and post_mix are kappa x kappa channel mixing matrices (the
     1x1x1 convolution weights around the factorization); None means
-    identity, which isolates the factorization behavior.
+    identity, which isolates the factorization behavior. rank and
+    iterations are integers >= 1, seed an integer >= 0.
     """
 
     variant: str = "fsam"
@@ -65,9 +65,9 @@ class AttentionConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown attention variant {self.variant!r}, expected one of {VARIANTS}")
-        for name in ("rank", "iterations"):
-            if _index(getattr(self, name), name) < 1:
-                raise DomainError(f"attention {name} must be >= 1, got {getattr(self, name)}")
+        check_int(self.rank, "attention rank", 1)
+        check_int(self.iterations, "attention iterations", 1)
+        check_int(self.seed, "attention seed", 0)
         sigma, delta_t = self.grbf_sigma, self.grbf_delta_t
         if self.variant == "grbf" and (sigma is None or delta_t is None):
             raise DomainError("grbf variant needs grbf_sigma and grbf_delta_t")

@@ -308,7 +308,7 @@ def cmd_demo_forward(args):
         "rsp_len": resp.samples.size,
         "hr_bpm": hr,
         "rr_bpm": rr,
-        "attention": not args.omit_attention and cfg.use_attention,
+        "attention": model.bvp_attention is not None,
     })
     return 0
 

@@ -1,20 +1,22 @@
 """Run configuration: an INI document with four sections mapping onto
 the attention, model and metrics knobs plus the RNG seed.
 
-Unknown sections or keys are rejected rather than ignored, so a typo in
-a config file fails loudly. `defaults_text()` emits the canonical
-document with every supported key and its default.
+Each value is parsed once into the object that uses it: [attention]
+into an AttentionConfig, [model] into a ModelConfig and [metrics] into
+RunConfig's own fields, with the seed in all three. Unknown sections or
+keys are rejected rather than ignored, so a typo in a config file fails
+loudly, and a value that the config objects refuse fails when the file
+loads. `defaults_text()` emits the canonical document with every
+supported key and its default.
 """
 
 import configparser
 import math
-import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .attention import AttentionConfig
-from .errors import DomainError, InputFormatError
-from .factorize import _index
+from .errors import DomainError, InputFormatError, check_int
 from .metrics import RateBand
 from .network import ModelConfig
 
@@ -91,21 +93,19 @@ def _parse(section, key, raw):
 
 @dataclass(frozen=True)
 class RunConfig:
-    variant: str
-    rank: int
-    iterations: int
+    """A loaded run config.
+
+    attention holds the [attention] keys (less epsilon, which no solver
+    reads) and the seed. model holds the [model] keys, with resolution
+    as input_resolution and channels as input_channels; both branch
+    attentions are `attention`, or None where use_attention is false.
+    The [metrics] keys are window_s, pad_factor, max_lag_s and the bands
+    hr_band and rr_band. seed is the [rng] seed, or its override.
+    """
+
+    attention: AttentionConfig
+    model: ModelConfig
     epsilon: float
-    grbf_sigma: float
-    grbf_delta_t: int
-    resolution: int
-    channels: int
-    bvp_channels: tuple
-    rsp_channels: tuple
-    temporal_kernel: int
-    spatial_kernel: int
-    rsp_temporal_strides: tuple
-    attention_index: int
-    use_attention: bool
     window_s: float
     pad_factor: int
     max_lag_s: float | None
@@ -116,8 +116,7 @@ class RunConfig:
     def __post_init__(self):
         # the metrics keys as estimate_rate_fft, split_windows and macc
         # check them, less what depends on the signal's sampling rate
-        if _index(self.pad_factor, "[metrics] pad_factor") < 1:
-            raise DomainError(f"[metrics] pad_factor must be an integer >= 1, got {self.pad_factor}")
+        check_int(self.pad_factor, "[metrics] pad_factor", 1)
         if not 0 < self.window_s < math.inf:
             raise DomainError(f"[metrics] window_s must be positive and finite, got {self.window_s}")
         if self.max_lag_s is not None and not self.max_lag_s >= 0:
@@ -131,55 +130,32 @@ class RunConfig:
         raise InputFormatError(f"unknown band kind {kind!r}")
 
     def attention_config(self, variant=None):
-        return AttentionConfig(
-            variant=variant or self.variant,
-            rank=self.rank,
-            iterations=self.iterations,
-            grbf_sigma=self.grbf_sigma,
-            grbf_delta_t=self.grbf_delta_t,
-            seed=self.seed,
-        )
+        """The attention config, with variant in place of its own if given."""
+        return replace(self.attention, variant=variant) if variant else self.attention
 
     def model_config(self, omit_attention=False):
-        att = None
-        if self.use_attention and not omit_attention:
-            att = self.attention_config()
-        return ModelConfig(
-            input_resolution=self.resolution,
-            input_channels=self.channels,
-            bvp_channels=self.bvp_channels,
-            rsp_channels=self.rsp_channels,
-            rsp_temporal_strides=self.rsp_temporal_strides,
-            temporal_kernel=self.temporal_kernel,
-            spatial_kernel=self.spatial_kernel,
-            attention_index=self.attention_index,
-            bvp_attention=att,
-            rsp_attention=att,
-            seed=self.seed,
-        )
+        """The model config, without attention on either branch if asked."""
+        if omit_attention:
+            return replace(self.model, bvp_attention=None, rsp_attention=None)
+        return self.model
 
 
 def _build(values, seed_override=None):
-    parsed = {
-        key: _parse(section, key, raw) for section, keys in values.items() for key, raw in keys.items()
-    }
-    if seed_override is not None:
-        # bool has __index__ too, but True is no seed
-        if isinstance(seed_override, bool) or not hasattr(seed_override, "__index__"):
-            raise DomainError(f"seed must be an integer, got {seed_override!r}")
-        parsed["seed"] = operator.index(seed_override)
-    if parsed["seed"] < 0:
-        raise DomainError(f"seed must be >= 0, got {parsed['seed']}")
-    if len(parsed["rsp_channels"]) != len(parsed["rsp_temporal_strides"]):
+    att, model, met, rng = (
+        {key: _parse(section, key, raw) for key, raw in values[section].items()}
+        for section in ("attention", "model", "metrics", "rng")
+    )
+    seed = check_int(rng["seed"] if seed_override is None else seed_override, "seed", 0)
+    if len(model["rsp_channels"]) != len(model["rsp_temporal_strides"]):
         raise InputFormatError("[model] rsp_channels and rsp_temporal_strides must have equal length")
+    epsilon = att.pop("epsilon")
+    attention = AttentionConfig(**att, seed=seed)
+    branch = attention if model.pop("use_attention") else None
+    model = ModelConfig(input_resolution=model.pop("resolution"), input_channels=model.pop("channels"),
+                        **model, bvp_attention=branch, rsp_attention=branch, seed=seed)
     for kind in ("hr", "rr"):
-        parsed[f"{kind}_band"] = RateBand(parsed.pop(f"{kind}_lo_hz"), parsed.pop(f"{kind}_hi_hz"))
-    cfg = RunConfig(**parsed)
-    # a bad [attention] or [model] value fails here, not in whichever
-    # command first builds the config it sits in
-    cfg.attention_config()
-    cfg.model_config()
-    return cfg
+        met[f"{kind}_band"] = RateBand(met.pop(f"{kind}_lo_hz"), met.pop(f"{kind}_hi_hz"))
+    return RunConfig(attention, model, epsilon, **met, seed=seed)
 
 
 def load_run_config(path=None, seed_override=None):

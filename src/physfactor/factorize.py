@@ -49,14 +49,13 @@ bit for bit; taller bases agree with them within rounding.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .tensors import EmbeddingMatrix, Waveform
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
@@ -115,9 +114,7 @@ class GrbfBasis:
     profile: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _index(self.m, "grbf_basis m")
-        if m < 2:
-            raise DomainError(f"grbf_basis needs m >= 2, got {m}")
+        m = check_int(self.m, "grbf_basis m", 2)
         sigma, two_var, delta_t = _grbf_params(self.sigma, self.delta_t, "grbf_basis ")
         # every entry beyond `bound` rows from its centre is below the cut
         bound = min(m - 1, math.ceil(sigma * _BUMP_CUT_REACH) + 1)
@@ -227,22 +224,11 @@ def _nonneg_matrix(v, name):
     return _shift(a, -e), e
 
 
-def _index(value, name):
-    """A Python or numpy integer; a float such as 2.5 is refused rather
-    than truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _grbf_params(sigma, delta_t, prefix):
     """(sigma, 2 sigma^2, delta_t) for a bump bank: delta_t an integer
     >= 1, sigma positive and finite with 2 sigma^2 finite and non-zero
     in float64. A DomainError names each as prefix + name."""
-    delta_t = _index(delta_t, f"{prefix}delta_t")
-    if delta_t < 1:
-        raise DomainError(f"{prefix}delta_t must be >= 1, got {delta_t}")
+    delta_t = check_int(delta_t, f"{prefix}delta_t", 1)
     with np.errstate(over="ignore"):    # an overflow to inf is rejected below
         two_var = 2.0 * np.float64(sigma) ** 2
     if not (0 < sigma < np.inf and 0 < two_var < np.inf):
@@ -269,15 +255,11 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     are multiplied back by 2^e, the factors x and y by 2^ex and 2^ey
     (see _shift_pair).
     """
-    rank = _index(rank, "rank")
-    iterations = _index(iterations, "iterations")
-    seed = _index(seed, "seed")
-    if not 1 <= rank <= max_rank:
+    rank = check_int(rank, "rank", 1)
+    if rank > max_rank:
         raise DomainError(f"rank must satisfy 1 <= rank <= {max_rank}, got {rank}")
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    iterations = check_int(iterations, "iterations", 1)
+    seed = check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     x = 1.0 - rng.random((inner, rank))    # uniform on (0, 1]
     y = 1.0 - rng.random((rank, a.shape[1]))
@@ -443,13 +425,15 @@ def target_basis(y, m, floor=1e-3):
     The signal is min-max normalized onto [floor, 1]:
         basis = floor + (1 - floor) * (y - min y) / (max y - min y)
     A constant signal is rejected, it would make the constrained
-    factorization degenerate.
+    factorization degenerate, and so is a non-finite one.
     """
     if isinstance(y, Waveform):
         y = y.samples
     y = np.asarray(y, dtype=np.float64).ravel()
-    if y.size != _index(m, "target_basis m"):
+    if y.size != check_int(m, "target_basis m"):
         raise DomainError(f"target length {y.size} does not match m = {m}")
+    if not np.isfinite(y).all():
+        raise DomainError("target signal must be finite")
     if not 0 < floor < 1:
         raise DomainError(f"floor must lie in (0, 1), got {floor}")
     lo, hi = y.min(), y.max()

@@ -15,9 +15,11 @@ from .tensors import Waveform
 
 
 def _samples(x):
-    if isinstance(x, Waveform):
-        return x.samples
-    return np.asarray(x, dtype=np.float64).ravel()
+    """The samples of a Waveform or vector; DomainError unless finite."""
+    s = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64).ravel()
+    if not np.isfinite(s).all():
+        raise DomainError("loss inputs must be finite")
+    return s
 
 
 def neg_pearson_loss(pred, gt):
@@ -110,7 +112,7 @@ def fd_gradient_check(loss_kind, point, step=1e-5):
     Args:
         loss_kind: "neg_pearson" or "smooth_l1".
         point: (pred, gt) pair of equal-length sample vectors.
-        step: finite-difference step h, > 0.
+        step: finite-difference step h, positive and finite.
 
     Returns:
         GradCheck with the max relative error, using denominator
@@ -118,8 +120,8 @@ def fd_gradient_check(loss_kind, point, step=1e-5):
     """
     if loss_kind not in _LOSSES:
         raise DomainError(f"unknown loss kind {loss_kind!r}")
-    if not step > 0:
-        raise DomainError("step must be positive")
+    if not 0 < step < np.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
     fn = _LOSSES[loss_kind]
     x = _samples(point[0]).copy()
     y = _samples(point[1])

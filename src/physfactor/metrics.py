@@ -32,12 +32,11 @@ windows, per-window rates feeding MAE/RMSE/MAPE/Corr, per-window SNR and
 MACC averaged with their standard errors.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .factorize import _unit_scaled
 from .tensors import Waveform
 
@@ -101,9 +100,11 @@ class MetricsReport:
 
 def concat_windows(segments, cap_s=WINDOW_S):
     """Concatenate same-rate segments, truncated to the lesser of cap_s
-    seconds or the total length."""
+    seconds (positive and finite) or the total length."""
     if not segments:
         raise DomainError("concat_windows needs at least one segment")
+    if not 0 < cap_s < np.inf:
+        raise DomainError(f"cap_s must be positive and finite, got {cap_s}")
     fs = segments[0].fs
     for seg in segments:
         if seg.fs != fs:
@@ -129,12 +130,7 @@ def estimate_rate_fft(wave, band, pad_factor=PAD_FACTOR):
     Nyquist frequency. pad_factor, the zero-padding multiple of the FFT
     length, must be an integer >= 1.
     """
-    try:
-        ok = operator.index(pad_factor) >= 1
-    except TypeError:
-        ok = False
-    if not ok:
-        raise DomainError(f"pad_factor must be an integer >= 1, got {pad_factor!r}")
+    pad_factor = check_int(pad_factor, "pad_factor", 1)
     n = wave.samples.size
     if n / wave.fs < MIN_DURATION_S:
         raise DomainError(
@@ -302,7 +298,7 @@ def error_metrics(preds, gts, corr="strict"):
     (1 - r^2)/sqrt(n - 3), infinite at n = 3.
 
     Args:
-        preds, gts: equal-length non-empty rate lists.
+        preds, gts: equal-length non-empty lists of finite rates.
         corr: "strict" raises when Corr is undefined (n < 3 or a
             constant series); "skip" leaves it out of the report;
             "auto" behaves like strict except when the two series are
@@ -319,6 +315,8 @@ def error_metrics(preds, gts, corr="strict"):
         raise DomainError("error_metrics needs at least one pair")
     if p.size != g.size:
         raise DomainError(f"length mismatch: {p.size} vs {g.size}")
+    if not (np.isfinite(p).all() and np.isfinite(g).all()):
+        raise DomainError("error_metrics needs finite rates")
     if np.any(g == 0):
         raise DomainError("zero ground-truth rate makes MAPE undefined")
     d = p - g

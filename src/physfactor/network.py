@@ -23,29 +23,18 @@ here, determinism is all that matters.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
-from .errors import DomainError
-from .factorize import _index
+from .errors import DomainError, check_int
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 
 # Every conv block halves both spatial axes.
 SPATIAL_STRIDE = 2
-
-
-def _positive_ints(values):
-    """True when values is a non-empty sequence of Python or numpy
-    integers >= 1; a float such as 1.5 fails rather than being truncated."""
-    try:
-        return len(values) > 0 and all(operator.index(v) >= 1 for v in values)
-    except TypeError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -79,18 +68,19 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_resolution not in (9, 36, 72):
+        if check_int(self.input_resolution, "input_resolution") not in (9, 36, 72):
             raise DomainError(f"input_resolution must be 9, 36 or 72, got {self.input_resolution}")
-        if self.input_channels not in (1, 3, 4):
+        if check_int(self.input_channels, "input_channels") not in (1, 3, 4):
             raise DomainError(f"input_channels must be 1, 3 or 4, got {self.input_channels}")
         for name in ("bvp_channels", "rsp_channels", "rsp_temporal_strides"):
             value = getattr(self, name)
-            if not _positive_ints(value):
+            if np.ndim(value) != 1 or len(value) == 0:
                 raise DomainError(f"{name} must list one or more integers >= 1, got {value!r}")
-        for name in ("temporal_kernel", "spatial_kernel"):
-            value = getattr(self, name)
-            if not _positive_ints((value,)):
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+            for v in value:
+                check_int(v, name, 1)
+        check_int(self.temporal_kernel, "temporal_kernel", 1)
+        check_int(self.spatial_kernel, "spatial_kernel", 1)
+        check_int(self.seed, "seed", 0)
         if self.temporal_kernel % 2 == 0:
             raise DomainError(f"temporal_kernel must be odd, got {self.temporal_kernel}")
         if len(self.rsp_channels) != len(self.rsp_temporal_strides):
@@ -98,7 +88,7 @@ class ModelConfig:
         nblocks = min(len(self.bvp_channels), len(self.rsp_channels))
         # a fractional index would match no block, and attention would
         # silently never run
-        if not 0 <= _index(self.attention_index, "attention_index") < nblocks:
+        if not 0 <= check_int(self.attention_index, "attention_index") < nblocks:
             raise DomainError(f"attention_index {self.attention_index} outside 0..{nblocks - 1}")
 
     @property
@@ -120,18 +110,6 @@ class ModelConfig:
 # frame in block 0) the kt - st frame halo is not copied once per output
 # frame; the buffers stay within a few MB.
 _CHUNK_COLUMNS = 2048
-
-
-def _int_triple(values, name):
-    """Three Python or numpy integers; a float such as 1.7 is refused
-    rather than truncated."""
-    try:
-        out = tuple(operator.index(v) for v in values)
-    except TypeError:
-        raise DomainError(f"{name} must be three integers, got {values!r}") from None
-    if len(out) != 3:
-        raise DomainError(f"{name} must be three integers, got {values!r}")
-    return out
 
 
 def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)):
@@ -174,10 +152,10 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
             raise DomainError(f"conv bias must have shape ({co},), got {bias.shape}")
         if not np.isfinite(bias).all():
             raise DomainError("conv bias must be finite")
-    st, sa, sb = _int_triple(strides, "strides")
-    pt, pa, pb = _int_triple(padding, "padding")
-    if min(st, sa, sb) < 1 or min(pt, pa, pb) < 0:
-        raise DomainError("strides must be >= 1 and padding >= 0")
+    if np.shape(strides) != (3,) or np.shape(padding) != (3,):
+        raise DomainError(f"strides and padding must be three integers each, got {strides!r}, {padding!r}")
+    st, sa, sb = (check_int(v, "strides", 1) for v in strides)
+    pt, pa, pb = (check_int(v, "padding", 0) for v in padding)
 
     t, _, a, b = eps.shape
     t_in, a_in, b_in = t + 2 * pt, a + 2 * pa, b + 2 * pb

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 PULSE_RATE_RANGE = (30.0, 220.0)     # plausible heart rates, beats/min
@@ -20,14 +20,19 @@ def check_fs(fs):
     return float(fs)
 
 
+def _check_noise(noise_sigma):
+    # written so that NaN fails the comparison
+    if not 0 <= noise_sigma < np.inf:
+        raise DomainError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+
+
 def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, hi):
     fs = check_fs(fs)
     if not lo <= rate_bpm <= hi:
         raise DomainError(f"rate {rate_bpm} outside supported range [{lo}, {hi}] per minute")
-    if duration_s < 1.0:
-        raise DomainError(f"duration must be >= 1 s, got {duration_s}")
-    if noise_sigma < 0:
-        raise DomainError("noise_sigma must be >= 0")
+    if not 1.0 <= duration_s < np.inf:
+        raise DomainError(f"duration must be >= 1 s and finite, got {duration_s}")
+    _check_noise(noise_sigma)
     n = int(round(fs * duration_s))
     t = np.arange(n) / fs
     f0 = rate_bpm / 60.0
@@ -67,10 +72,10 @@ class PlantSpec:
     seed: int = 0
 
     def __post_init__(self):
-        shape = tuple(int(x) for x in self.shape)
-        if len(shape) != 4 or min(shape) < 1:
+        shape = tuple(check_int(x, "PlantSpec shape", 1) for x in self.shape)
+        if len(shape) != 4:
             raise DomainError(f"PlantSpec shape must be 4 positive extents, got {self.shape}")
-        mask = tuple((int(c), int(a), int(b)) for (c, a, b) in self.mask)
+        mask = tuple(tuple(check_int(x, "planted coordinate") for x in cab) for cab in self.mask)
         if not mask:
             raise DomainError("PlantSpec mask must be non-empty")
         if len(set(mask)) != len(mask):
@@ -79,8 +84,7 @@ class PlantSpec:
         for (c, a, b) in mask:
             if not (0 <= c < kappa and 0 <= a < alpha and 0 <= b < beta):
                 raise DomainError(f"planted coordinate {(c, a, b)} outside shape {shape}")
-        if self.noise_sigma < 0:
-            raise DomainError("noise_sigma must be >= 0")
+        _check_noise(self.noise_sigma)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mask", mask)
 
@@ -120,7 +124,12 @@ def gen_planted_embedding(spec):
 
 def gen_clip(frames, resolution, channels, rate_bpm=72.0, fs=25.0, noise_sigma=0.02, seed=0):
     """Toy video clip: mid-gray frames with a weak pulse modulating all
-    pixels plus per-pixel noise, clipped into [0, 1]."""
+    pixels plus per-pixel noise, clipped into [0, 1]. frames,
+    resolution and channels are integers >= 1."""
+    frames = check_int(frames, "frames", 1)
+    resolution = check_int(resolution, "resolution", 1)
+    channels = check_int(channels, "channels", 1)
+    _check_noise(noise_sigma)
     pulse = gen_pulse(fs, rate_bpm, frames / fs if frames / fs >= 1 else 1.0, 0.2, 0.0, seed)
     s = pulse.samples[:frames]
     rng = np.random.default_rng(seed)

@@ -1,6 +1,10 @@
+import configparser
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from physfactor import config
 from physfactor.attention import AttentionConfig
 from physfactor.config import defaults_text, load_run_config
 from physfactor.errors import DomainError, InputFormatError
@@ -43,11 +47,11 @@ seed = 0
 
 def test_defaults_load_without_file():
     cfg = load_run_config()
-    assert cfg.variant == "fsam"
-    assert cfg.rank == 8
-    assert cfg.iterations == 4
-    assert cfg.resolution == 72
-    assert cfg.channels == 3
+    assert cfg.attention.variant == "fsam"
+    assert cfg.attention.rank == 8
+    assert cfg.attention.iterations == 4
+    assert cfg.model.input_resolution == 72
+    assert cfg.model.input_channels == 3
     assert cfg.window_s == 30.0
     assert cfg.pad_factor == 8
     assert cfg.max_lag_s is None
@@ -66,8 +70,8 @@ def test_partial_override(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[attention]\nvariant = tsfm\nrank = 4\n\n[rng]\nseed = 9\n")
     cfg = load_run_config(str(path))
-    assert cfg.variant == "tsfm" and cfg.rank == 4 and cfg.seed == 9
-    assert cfg.resolution == 72  # untouched default
+    assert cfg.attention.variant == "tsfm" and cfg.attention.rank == 4 and cfg.seed == 9
+    assert cfg.model.input_resolution == 72  # untouched default
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -156,3 +160,50 @@ def test_rsp_list_lengths_compared_after_parsing(tmp_path):
     path.write_text("[model]\nrsp_channels = 8,,12,12,8\nrsp_temporal_strides = 2,2,1,1,1\n")
     with pytest.raises(InputFormatError, match="equal length"):
         load_run_config(str(path))
+
+
+NONDEFAULT_INI = Path(__file__).parent / "data" / "nondefault.ini"
+
+# where each INI key lands in a loaded RunConfig
+FIELD_OF_KEY = {
+    ("attention", "variant"): lambda c: c.attention.variant,
+    ("attention", "rank"): lambda c: c.attention.rank,
+    ("attention", "iterations"): lambda c: c.attention.iterations,
+    ("attention", "epsilon"): lambda c: c.epsilon,
+    ("attention", "grbf_sigma"): lambda c: c.attention.grbf_sigma,
+    ("attention", "grbf_delta_t"): lambda c: c.attention.grbf_delta_t,
+    ("model", "resolution"): lambda c: c.model.input_resolution,
+    ("model", "channels"): lambda c: c.model.input_channels,
+    ("model", "bvp_channels"): lambda c: c.model.bvp_channels,
+    ("model", "rsp_channels"): lambda c: c.model.rsp_channels,
+    ("model", "temporal_kernel"): lambda c: c.model.temporal_kernel,
+    ("model", "spatial_kernel"): lambda c: c.model.spatial_kernel,
+    ("model", "rsp_temporal_strides"): lambda c: c.model.rsp_temporal_strides,
+    ("model", "attention_index"): lambda c: c.model.attention_index,
+    ("model", "use_attention"): lambda c: c.model.bvp_attention is c.attention and c.model.rsp_attention is c.attention,
+    ("metrics", "window_s"): lambda c: c.window_s,
+    ("metrics", "pad_factor"): lambda c: c.pad_factor,
+    ("metrics", "max_lag_s"): lambda c: c.max_lag_s,
+    ("metrics", "hr_lo_hz"): lambda c: c.hr_band.lo_hz,
+    ("metrics", "hr_hi_hz"): lambda c: c.hr_band.hi_hz,
+    ("metrics", "rr_lo_hz"): lambda c: c.rr_band.lo_hz,
+    ("metrics", "rr_hi_hz"): lambda c: c.rr_band.hi_hz,
+    ("rng", "seed"): lambda c: c.seed,
+}
+
+
+def test_every_key_lands_in_its_config_field():
+    parser = configparser.ConfigParser()
+    parser.read(NONDEFAULT_INI)
+    given = {(section, key): raw for section in parser.sections() for key, raw in parser[section].items()}
+    keys = {(section, key) for section, keys in config._DEFAULTS.items() for key in keys}
+    assert set(given) == keys == set(FIELD_OF_KEY)
+
+    cfg, default = load_run_config(str(NONDEFAULT_INI)), load_run_config()
+    for (section, key), field in FIELD_OF_KEY.items():
+        want = config._parse(section, key, given[section, key])
+        assert field(cfg) == want, key
+        assert field(default) != want, f"{key} is at its default in {NONDEFAULT_INI.name}"
+    # the seed reaches both library configs
+    assert cfg.attention.seed == cfg.model.seed == cfg.seed
+    assert cfg.model.bvp_attention is None and cfg.model.rsp_attention is None

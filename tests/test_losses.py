@@ -134,3 +134,11 @@ def test_fd_check_arguments():
         fd_gradient_check("unknown", (np.zeros(4), np.zeros(4)))
     with pytest.raises(DomainError):
         fd_gradient_check("smooth_l1", (np.zeros(4), np.zeros(4)), step=0.0)
+
+
+@pytest.mark.parametrize("step", [np.inf, np.nan])
+def test_fd_gradient_check_refuses_a_step_that_is_not_finite(step):
+    # step = inf checked no coordinate and reported max_rel_error 0.0
+    point = (np.sin(np.arange(8.0)), np.cos(np.arange(8.0)))
+    with pytest.raises(DomainError, match="step"):
+        fd_gradient_check("smooth_l1", point, step=step)

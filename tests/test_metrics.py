@@ -48,6 +48,13 @@ def test_concat_windows_truncation():
         concat_windows([])
 
 
+@pytest.mark.parametrize("cap_s", [-1.0, 0.0, np.nan, np.inf])
+def test_concat_windows_refuses_a_cap_that_is_not_positive_and_finite(cap_s):
+    # -1 returned 75 of 100 samples, nan raised a bare ValueError
+    with pytest.raises(DomainError, match="cap_s"):
+        concat_windows([Waveform(np.zeros(100), 25.0)], cap_s=cap_s)
+
+
 def test_rate_estimation_pure_tones():
     t = np.arange(750) / 25.0
     hr = Waveform(np.sin(2 * np.pi * 1.0 * t), 25.0)

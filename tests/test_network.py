@@ -244,6 +244,30 @@ def test_conv3d_requires_integer_triples(strides, padding):
         conv3d_forward(x, np.ones((1, 2, 1, 1, 1)), None, strides, padding)
 
 
+@pytest.mark.parametrize("strides, padding", [
+    (1, (0, 0, 0)),
+    ((1, 1, 1), 0),
+    ((1, 0, 1), (0, 0, 0)),
+    ((1, 1, 1), (0, 0, -1)),
+], ids=["scalar-stride", "scalar-padding", "stride-0", "padding-minus-1"])
+def test_conv3d_refuses_out_of_domain_strides_and_padding(strides, padding):
+    # with test_conv3d_requires_integer_triples, every shape of bad
+    # stride or padding the removed triple check refused
+    x = VoxelEmbedding(np.ones((5, 2, 4, 4)))
+    with pytest.raises(DomainError, match="strides|padding"):
+        conv3d_forward(x, np.ones((1, 2, 1, 1, 1)), None, strides, padding)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("config", [ModelConfig, AttentionConfig])
+def test_seeds_are_checked_when_the_config_is_built(config, seed):
+    # ModelConfig took all three (-1 failed in numpy at forward time,
+    # 1.5 with a TypeError, True ran as seed 1), and AttentionConfig
+    # took -1 until a solve ran
+    with pytest.raises(DomainError, match="seed"):
+        config(seed=seed)
+
+
 def _small_cfg(**kw):
     defaults = dict(input_resolution=9, input_channels=3, seed=0)
     defaults.update(kw)

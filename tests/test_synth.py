@@ -118,3 +118,26 @@ def test_gen_clip_contract():
     assert clip.data.min() >= 0.0 and clip.data.max() <= 1.0
     again = gen_clip(40, 36, 3, seed=2)
     assert np.array_equal(clip.data, again.data)
+
+
+_SIG = gen_pulse(25.0, 72.0, 1.0)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: PlantSpec((25.9, 2, 2, 2), ((0, 0, 0),), _SIG), "shape"),
+    (lambda: PlantSpec((25, 2, 2, 2), ((0.5, 0, 0),), _SIG), "coordinate"),
+    (lambda: gen_clip(2.5, 9, 1), "frames"),
+    (lambda: gen_pulse(25.0, 72.0, np.inf), "duration"),
+    (lambda: gen_pulse(25.0, 72.0, np.nan), "duration"),
+    (lambda: gen_pulse(25.0, 72.0, 30.0, noise_sigma=np.nan), "noise_sigma"),
+    (lambda: gen_clip(8, 9, 1, noise_sigma=-1.0), "noise_sigma"),
+    (lambda: gen_clip(8, 9, 1, noise_sigma=np.inf), "noise_sigma"),
+], ids=["plant-shape-25.9", "plant-coordinate-0.5", "clip-frames-2.5", "pulse-duration-inf",
+        "pulse-duration-nan", "pulse-noise-nan", "clip-noise-negative", "clip-noise-inf"])
+def test_refused_rather_than_truncated_or_ignored(build, match):
+    # PlantSpec truncated 25.9 to 25 and 0.5 to 0; gen_clip(2.5) raised a
+    # bare TypeError and took a negative noise level; an infinite
+    # duration raised a bare OverflowError; a NaN noise level gave the
+    # noise-free tone
+    with pytest.raises(DomainError, match=match):
+        build()
