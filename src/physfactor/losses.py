@@ -73,19 +73,27 @@ def smooth_l1_loss(pred, gt):
     gradient (d/n inside the knee, sign(d)/n outside) is bounded by 1/n.
 
     Returns:
-        (loss, grad) with grad = d loss / d pred.
+        (loss, grad) with grad = d loss / d pred. DomainError where a
+        difference or the loss lies beyond float64's range.
     """
     x = _samples(pred)
     y = _samples(gt)
     if x.size != y.size:
         raise DomainError(f"length mismatch: {x.size} vs {y.size}")
-    d = x - y
-    ad = np.abs(d)
-    quad = ad < 1.0
-    terms = np.where(quad, 0.5 * d * d, ad - 0.5)
+    with np.errstate(over="ignore"):
+        d = x - y
+        ad = np.abs(d)
+        quad = ad < 1.0
+        inner = np.where(quad, d, 0.0)
+        terms = np.where(quad, 0.5 * inner * inner, ad - 0.5)
+        loss = float(terms.mean())
+    # every term is >= 0 and finite where d is, so an overflow anywhere
+    # leaves the loss infinite
+    if loss == np.inf:
+        raise DomainError("smooth_l1_loss overflows: a difference or the loss exceeds float64's range")
     n = d.size
     grad = np.where(quad, d, np.sign(d)) / n
-    return float(terms.mean()), grad
+    return loss, grad
 
 
 _LOSSES = {"neg_pearson": neg_pearson_loss, "smooth_l1": smooth_l1_loss}

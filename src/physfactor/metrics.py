@@ -29,7 +29,11 @@ signals.
 
 Aggregate evaluation follows a windowing protocol: non-overlapping 30 s
 windows, per-window rates feeding MAE/RMSE/MAPE/Corr, per-window SNR and
-MACC averaged with their standard errors.
+MACC averaged with their standard errors. Each window's rate is its own
+estimate_rate_fft call; SNR and MACC are scored for blocks of windows,
+2-D views of the signals, with the per-row arithmetic of snr and macc,
+which are one-row calls of the same code. tests/test_metrics.py keeps
+the per-window loop as the oracle.
 """
 
 from dataclasses import dataclass
@@ -46,6 +50,10 @@ PAD_FACTOR = 8
 SNR_FUND_HZ = 0.1         # half-width of the fundamental window
 SNR_HARM_HZ = 0.2         # half-width of the second-harmonic window
 SNR_CLIP_DB = (-20.0, 40.0)
+# Windows whose SNR and MACC are scored together. MACC holds about a
+# dozen (rows, lags) temporaries per block; larger blocks save little
+# numpy call overhead and cost peak memory.
+_BLOCK_ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -139,14 +147,14 @@ def estimate_rate_fft(wave, band, pad_factor=PAD_FACTOR):
     if band.hi_hz > wave.fs / 2:
         raise DomainError(f"band [{band.lo_hz}, {band.hi_hz}] Hz extends past Nyquist {wave.fs / 2}")
     nfft = pad_factor * _next_pow2(n)
-    spec = np.abs(np.fft.rfft(_detrended(wave), n=nfft))
     freqs = np.fft.rfftfreq(nfft, 1.0 / wave.fs)
-    mask = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
-    if not mask.any():
+    # freqs ascend, so the in-band bins are one slice
+    lo = np.searchsorted(freqs, band.lo_hz, "left")
+    hi = np.searchsorted(freqs, band.hi_hz, "right")
+    if lo == hi:
         raise DomainError("no FFT bins inside the band")
-    idx = np.flatnonzero(mask)
-    peak = idx[np.argmax(spec[idx])]
-    return 60.0 * freqs[peak]
+    spec = np.fft.rfft(_detrended(wave), n=nfft)[lo:hi]
+    return 60.0 * freqs[lo + np.argmax(np.abs(spec))]
 
 
 def snr(pred, ref_rate, band):
@@ -156,25 +164,37 @@ def snr(pred, ref_rate, band):
     harmonic counts as signal; the rest of the in-band power is noise.
     Clipped to [-20, 40] dB, unpadded spectrum (see module docstring).
     """
-    f0 = ref_rate / 60.0
-    if not band.lo_hz <= f0 <= band.hi_hz:
-        raise DomainError(
-            f"reference rate {ref_rate}/min lies outside the band "
-            f"[{band.lo_hz * 60:.0f}, {band.hi_hz * 60:.0f}]/min"
-        )
-    x = _detrended(pred)
-    power = np.abs(np.fft.rfft(x)) ** 2
-    freqs = np.fft.rfftfreq(x.size, 1.0 / pred.fs)
-    sig = (np.abs(freqs - f0) <= SNR_FUND_HZ) | (np.abs(freqs - 2 * f0) <= SNR_HARM_HZ)
+    return _snr_rows(pred.samples[None], pred.fs, [ref_rate], band)[0]
+
+
+def _snr_rows(x, fs, ref_rates, band):
+    """snr of each row of a (k, n) block against its reference rate,
+    from one batched rfft."""
+    f0s = np.divide(ref_rates, 60.0)
+    for ref_rate, f0 in zip(ref_rates, f0s):
+        if not band.lo_hz <= f0 <= band.hi_hz:
+            raise DomainError(
+                f"reference rate {ref_rate}/min lies outside the band "
+                f"[{band.lo_hz * 60:.0f}, {band.hi_hz * 60:.0f}]/min"
+            )
+    power = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
+    power *= power
+    freqs = np.fft.rfftfreq(x.shape[1], 1.0 / fs)
     inband = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
-    p_sig = float(power[sig].sum())
-    p_noise = float(power[inband & ~sig].sum())
+    f0 = f0s[:, None]
+    sig = (np.abs(freqs - f0) <= SNR_FUND_HZ) | (np.abs(freqs - 2 * f0) <= SNR_HARM_HZ)
     lo, hi = SNR_CLIP_DB
-    if p_sig == 0.0:
-        return lo
-    if p_noise == 0.0:
-        return hi
-    return float(np.clip(10.0 * np.log10(p_sig / p_noise), lo, hi))
+    out = []
+    for p, s, noise in zip(power, sig, inband & ~sig):
+        p_sig = float(p[s].sum())
+        p_noise = float(p[noise].sum())
+        if p_sig == 0.0:
+            out.append(lo)
+        elif p_noise == 0.0:
+            out.append(hi)
+        else:
+            out.append(float(np.clip(10.0 * np.log10(p_sig / p_noise), lo, hi)))
+    return out
 
 
 def _pearson(a, b):
@@ -196,27 +216,31 @@ def _overlap(x, y, lag):
     return x[: n + lag], y[-lag:]
 
 
-def _lagged_abs_pearson(x, y, lags):
-    """|r| at every lag from one cross-correlation and prefix sums, plus
-    a bound on how far each value may sit from _pearson's for that lag.
+def _lagged_abs_pearson(v, lags):
+    """|r| at every lag in -L..L for each pair of rows i and k + i of a
+    (2k, n) block (x's k rows over y's), from one cross-correlation per
+    pair and prefix sums, plus a bound on how far each value may sit
+    from _pearson's for that lag.
 
-    Both signals are centred on their whole-window means first, so the
-    prefix sums carry no DC term to cancel. Where an overlap's variance
-    is lost in rounding the bound is infinite and |r| is reported as 0.
+    Each row is centred on its whole-window mean first, so the prefix
+    sums carry no DC term to cancel. Where an overlap's variance is lost
+    in rounding the bound is infinite and |r| is reported as 0.
     """
-    n = x.size
-    xc = x - x.mean()
-    yc = y - y.mean()
-    cross = np.correlate(xc, yc, "full")[lags + (n - 1)]
+    k, n = v.shape[0] // 2, v.shape[1]
+    vc = v - v.mean(axis=1, keepdims=True)
+    at = lags + (n - 1)
+    cross = np.stack([np.correlate(a, b, "full")[at] for a, b in zip(vc[:k], vc[k:])])
 
-    def window_sums(v, lo, hi):
-        pre = np.concatenate(([0.0], np.cumsum(v)))
-        pre2 = np.concatenate(([0.0], np.cumsum(v * v)))
-        return pre[hi] - pre[lo], pre2[hi] - pre2[lo]
-
+    # Sums over each lag's overlap: x's runs from max(lag, 0) to
+    # min(n + lag, n), and y's is x's range at -lag, so y's sums are
+    # those of the same formula in reverse lag order.
+    pre = np.zeros((2, 2 * k, n + 1))
+    np.cumsum(vc, axis=1, out=pre[0, :, 1:])
+    np.cumsum(vc * vc, axis=1, out=pre[1, :, 1:])
+    s, ss = pre[:, :, np.minimum(n + lags, n)] - pre[:, :, np.maximum(lags, 0)]
+    sa, saa = s[:k], ss[:k]
+    sb, sbb = s[k:, ::-1], ss[k:, ::-1]
     m = n - np.abs(lags)
-    sa, saa = window_sums(xc, np.maximum(lags, 0), np.minimum(n + lags, n))
-    sb, sbb = window_sums(yc, np.maximum(-lags, 0), np.minimum(n - lags, n))
     cov = cross - sa * sb / m
     var_a = saa - sa * sa / m
     var_b = sbb - sb * sb / m
@@ -228,13 +252,9 @@ def _lagged_abs_pearson(x, y, lags):
     # each floor bounds that signal's share of the error on r.
     eps = np.finfo(np.float64).eps
     tol = 16.0 * eps * n ** 1.5
-
-    def floor(v, raw):
-        shift = 2.0 * n * eps * float(np.max(np.abs(raw)))
-        return tol * float(v @ v) + n * shift * shift
-
-    floor_a = floor(xc, x)
-    floor_b = floor(yc, y)
+    shift = 2.0 * n * eps * np.max(np.abs(v), axis=1)
+    floors = (tol * np.array([row @ row for row in vc]) + n * shift * shift)[:, None]
+    floor_a, floor_b = floors[:k], floors[k:]
     sure = (var_a > floor_a) & (var_b > floor_b)
     safe_a = np.where(sure, var_a, 1.0)
     safe_b = np.where(sure, var_b, 1.0)
@@ -258,29 +278,36 @@ def macc(pred, gt, max_lag_s=None):
     """
     if pred.fs != gt.fs:
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
-    x = pred.samples
-    y = gt.samples
-    if x.size != y.size:
-        raise DomainError(f"length mismatch: {x.size} vs {y.size}")
+    if pred.samples.size != gt.samples.size:
+        raise DomainError(f"length mismatch: {pred.samples.size} vs {gt.samples.size}")
+    return _macc_rows(pred.samples[None], gt.samples[None], pred.fs, max_lag_s)[0]
+
+
+def _macc_rows(x, y, fs, max_lag_s):
+    """macc of each row pair of two (k, n) blocks sampled at fs."""
+    k, n = x.shape
     if max_lag_s is None:
-        max_lag_s = x.size / (2.0 * pred.fs)
+        max_lag_s = n / (2.0 * fs)
     if not max_lag_s >= 0:
         raise DomainError(f"max_lag_s must be >= 0, got {max_lag_s}")
-    max_lag = int(round(min(max_lag_s * pred.fs, x.size - 3)))
-    if max_lag < 0 or np.ptp(x) == 0 or np.ptp(y) == 0:
-        # no overlap of 3 samples, or a constant signal: r = 0 at every lag
-        return 0.0
+    max_lag = int(round(min(max_lag_s * fs, n - 3)))
+    out = [0.0] * k
+    # no overlap of 3 samples, or a constant signal: r = 0 at every lag
+    live = np.flatnonzero((np.ptp(x, axis=1) > 0) & (np.ptp(y, axis=1) > 0))
+    if max_lag < 0 or live.size == 0:
+        return out
     lags = np.arange(-max_lag, max_lag + 1)
-    r, slack = _lagged_abs_pearson(_unit_scaled(x)[0], _unit_scaled(y)[0], lags)
+    r, slack = _lagged_abs_pearson(np.stack([_unit_scaled(row)[0] for row in (*x, *y)]), lags)
     # a NaN cutoff keeps every lag, which falls back to the full loop
-    cutoff = np.max(r - slack)
-    contenders = lags[~(r + slack < cutoff)]
-    best = 0.0
-    for lag in contenders:
-        best = max(best, abs(_pearson(*_overlap(x, y, int(lag)))))
-    # |r| <= 1 mathematically; trim the roundoff excess so identical
-    # signals report exactly 1.0
-    return min(best, 1.0)
+    keep = ~(r + slack < np.max(r - slack, axis=1, keepdims=True))
+    for i in live:
+        best = 0.0
+        for lag in lags[keep[i]]:
+            best = max(best, abs(_pearson(*_overlap(x[i], y[i], int(lag)))))
+        # |r| <= 1 mathematically; trim the roundoff excess so identical
+        # signals report exactly 1.0
+        out[i] = min(best, 1.0)
+    return out
 
 
 def _avg_se(terms):
@@ -368,6 +395,17 @@ def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
     return out
 
 
+def _row_blocks(samples, windows):
+    """The windows split_windows cut from samples, as 2-D views of at
+    most _BLOCK_ROWS rows; a trailing short window is a block of its own."""
+    size = windows[0].samples.size
+    rows = samples[: samples.size // size * size].reshape(-1, size)
+    blocks = [rows[i : i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS)]
+    if len(windows) > len(rows):
+        blocks.append(windows[-1].samples[None])
+    return blocks
+
+
 def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACTOR,
                      max_lag_s=None, corr="auto", band=None):
     """Full windowed evaluation of a prediction against ground truth.
@@ -382,17 +420,18 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
     band = band_for(kind) if band is None else band
     n = min(pred.samples.size, gt.samples.size)
-    pw = split_windows(Waveform(pred.samples[:n], pred.fs), window_s)
-    gw = split_windows(Waveform(gt.samples[:n], gt.fs), window_s)
+    xp, xg = pred.samples[:n], gt.samples[:n]
+    pw = split_windows(Waveform(xp, pred.fs), window_s)
+    gw = split_windows(Waveform(xg, gt.fs), window_s)
 
     rates_p, rates_g, snrs, maccs = [], [], [], []
-    for wp, wg in zip(pw, gw):
-        rp = estimate_rate_fft(wp, band, pad_factor)
-        rg = estimate_rate_fft(wg, band, pad_factor)
-        rates_p.append(rp)
-        rates_g.append(rg)
-        snrs.append(snr(wp, rg, band))
-        maccs.append(macc(wp, wg, max_lag_s))
+    for bp, bg in zip(_row_blocks(xp, pw), _row_blocks(xg, gw)):
+        i = len(rates_p)
+        for wp, wg in zip(pw[i : i + len(bp)], gw[i : i + len(bp)]):
+            rates_p.append(estimate_rate_fft(wp, band, pad_factor))
+            rates_g.append(estimate_rate_fft(wg, band, pad_factor))
+        snrs += _snr_rows(bp, pred.fs, rates_g[i:], band)
+        maccs += _macc_rows(bp, bg, pred.fs, max_lag_s)
 
     report = error_metrics(rates_p, rates_g, corr=corr)
     snr_avg, snr_se = _avg_se(snrs)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, report shapes, file round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,28 @@ def test_metrics_varying_rates_json_round_trip(tmp_path, capsys):
     assert dump_json(report).encode() == raw  # parse + re-dump is byte stable
     assert report["corr"]["avg"] > 0.99
     assert report["mae"]["avg"] < 1.0
+
+
+DATA = Path(__file__).parent / "data"
+
+# Each input pair is six 30 s windows plus a trailing 12 s one, one seeded
+# rate per window, the prediction being the ground truth plus Gaussian
+# noise (HR at 12.5 Hz, RR at 5 Hz). The outputs were written by the
+# per-window evaluation loop that the batched one replaced.
+GOLDEN_METRICS = [
+    ("metrics_hr_table.txt", ["--kind", "hr", "--fs", "12.5"]),
+    ("metrics_hr.json", ["--kind", "hr", "--fs", "12.5", "--format", "json"]),
+    ("metrics_rr_lag2.json", ["--kind", "rr", "--fs", "5", "--format", "json", "--max-lag-s", "2"]),
+]
+
+
+@pytest.mark.parametrize("golden, args", GOLDEN_METRICS, ids=[g for g, _ in GOLDEN_METRICS])
+def test_metrics_reproduces_golden_output(golden, args, capsys, monkeypatch):
+    monkeypatch.delenv("PHYSFACTOR_CONFIG", raising=False)
+    kind = args[1]
+    assert main(["metrics", "--pred", str(DATA / f"metrics_{kind}_pred.csv"),
+                 "--gt", str(DATA / f"metrics_{kind}_gt.csv"), *args]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 def test_metrics_table_output(tmp_path, capsys):

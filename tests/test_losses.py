@@ -129,6 +129,37 @@ def test_smooth_l1_length_mismatch():
         smooth_l1_loss([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("pred, gt", [
+    ([1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]),     # the difference overflows
+    ([1.7e308, 1.7e308], [0.0, 0.0]),            # each term is finite, their sum is not
+])
+def test_smooth_l1_refuses_an_overflow(pred, gt):
+    # both returned an infinite loss with numpy's overflow warning
+    with pytest.raises(DomainError, match="overflows"):
+        smooth_l1_loss(pred, gt)
+
+
+@st.composite
+def wide_vectors(draw, n):
+    """n signed values with magnitudes from about 1e-300 to 1e300, or 0."""
+    exps = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=n, max_size=n))
+    return np.array(signs) * 10.0 ** np.array(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_smooth_l1_finite_or_refused_from_1e_minus300_to_1e300(data):
+    n = data.draw(st.integers(1, 6))
+    pred, gt = data.draw(wide_vectors(n)), data.draw(wide_vectors(n))
+    try:
+        loss, grad = smooth_l1_loss(pred, gt)
+    except DomainError:
+        return
+    assert np.isfinite(loss) and loss >= 0.0
+    assert np.all(np.isfinite(grad)) and np.all(np.abs(grad) <= 1.0 / n)
+
+
 def test_fd_check_arguments():
     with pytest.raises(DomainError):
         fd_gradient_check("unknown", (np.zeros(4), np.zeros(4)))

@@ -9,7 +9,10 @@ from physfactor.errors import DomainError
 from physfactor.metrics import (
     HR_BAND,
     RR_BAND,
+    MetricsReport,
     RateBand,
+    _avg_se,
+    _macc_rows,
     _pearson,
     band_for,
     concat_windows,
@@ -511,3 +514,169 @@ def test_evaluate_windows_ignores_a_common_dc_shift(kind, windows, seed, noise, 
         for part in ("avg", "se"):
             assert math.isclose(moved[field][part], base[field][part], rel_tol=1e-9, abs_tol=1e-12), (field, part)
 
+
+
+# ------------------------------- windowed evaluation against its per-window loop
+
+
+def _rate_oracle(wave, band, pad_factor=8):
+    """estimate_rate_fft as a mask over every padded bin."""
+    x = wave.samples
+    nfft = pad_factor * (1 << (x.size - 1).bit_length())
+    spec = np.abs(np.fft.rfft(x - x.mean(), n=nfft))
+    freqs = np.fft.rfftfreq(nfft, 1.0 / wave.fs)
+    mask = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
+    if not mask.any():
+        raise DomainError("no FFT bins inside the band")
+    idx = np.flatnonzero(mask)
+    return 60.0 * freqs[idx[np.argmax(spec[idx])]]
+
+
+def _snr_oracle(pred, ref_rate, band):
+    """snr of one window, from its own rfft and masks."""
+    f0 = ref_rate / 60.0
+    if not band.lo_hz <= f0 <= band.hi_hz:
+        raise DomainError(
+            f"reference rate {ref_rate}/min lies outside the band "
+            f"[{band.lo_hz * 60:.0f}, {band.hi_hz * 60:.0f}]/min"
+        )
+    x = pred.samples - pred.samples.mean()
+    power = np.abs(np.fft.rfft(x)) ** 2
+    freqs = np.fft.rfftfreq(x.size, 1.0 / pred.fs)
+    sig = (np.abs(freqs - f0) <= 0.1) | (np.abs(freqs - 2 * f0) <= 0.2)
+    inband = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
+    p_sig = float(power[sig].sum())
+    p_noise = float(power[inband & ~sig].sum())
+    if p_sig == 0.0:
+        return -20.0
+    if p_noise == 0.0:
+        return 40.0
+    return float(np.clip(10.0 * np.log10(p_sig / p_noise), -20.0, 40.0))
+
+
+def _evaluate_windows_loop(pred, gt, kind="hr", window_s=30.0, pad_factor=8, max_lag_s=None):
+    """evaluate_windows as one rate, SNR and MACC call per window: the
+    oracle for evaluate_windows, which scores blocks of windows at once."""
+    band = band_for(kind)
+    n = min(pred.samples.size, gt.samples.size)
+    pw = split_windows(Waveform(pred.samples[:n], pred.fs), window_s)
+    gw = split_windows(Waveform(gt.samples[:n], gt.fs), window_s)
+    rates_p, rates_g, snrs, maccs = [], [], [], []
+    for wp, wg in zip(pw, gw):
+        rp = _rate_oracle(wp, band, pad_factor)
+        rg = _rate_oracle(wg, band, pad_factor)
+        rates_p.append(rp)
+        rates_g.append(rg)
+        snrs.append(_snr_oracle(wp, rg, band))
+        maccs.append(macc(wp, wg, max_lag_s))
+    report = error_metrics(rates_p, rates_g, corr="auto")
+    return {
+        **report.as_dict(),
+        "snr": dict(zip(("avg", "se"), _avg_se(snrs))),
+        "macc": dict(zip(("avg", "se"), _avg_se(maccs))),
+    }
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the DomainError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+@st.composite
+def windowed_pairs(draw):
+    """A prediction and ground truth of 1-25 windows, each window a tone
+    at its own in-band rate plus noise, or constant; optionally a
+    trailing window from 10 s up to the window length; one scale and DC
+    offset per signal."""
+    kind = draw(st.sampled_from(("hr", "rr")))
+    fs = draw(st.sampled_from((8.0, 12.5, 25.0)))
+    window_s = draw(st.sampled_from((10.0, 13.7, 30.0)))
+    size = int(round(window_s * fs))
+    windows = draw(st.integers(1, 25))
+    shortest = int(np.ceil(10.0 * fs))
+    tail = draw(st.integers(shortest, size - 1)) if shortest < size and draw(st.booleans()) else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    band = band_for(kind)
+    lengths = [size] * windows + ([tail] if tail else [])
+    constant = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+
+    def signal(sigma):
+        parts = []
+        for length, flat, f in zip(lengths, constant, rng.uniform(band.lo_hz, band.hi_hz, len(lengths))):
+            t = np.arange(length) / fs
+            parts.append(np.full(length, rng.normal()) if flat
+                         else np.sin(2 * np.pi * f * t) + sigma * rng.normal(size=length))
+        return np.concatenate(parts)
+
+    gt = signal(0.05)
+    pred = gt + signal(0.3)
+    scale = st.floats(1e-3, 1e6)
+    pred = Waveform(draw(scale) * pred + draw(offsets), fs)
+    gt = Waveform(draw(scale) * gt + draw(offsets), fs)
+    max_lag_s = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, window_s)))
+    return pred, gt, kind, window_s, max_lag_s
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=windowed_pairs())
+def test_evaluate_windows_matches_per_window_loop(case):
+    pred, gt, kind, window_s, max_lag_s = case
+    want = _outcome(_evaluate_windows_loop, pred, gt, kind, window_s, max_lag_s=max_lag_s)
+    got = _outcome(evaluate_windows, pred, gt, kind, window_s, max_lag_s=max_lag_s)
+    if isinstance(got, MetricsReport):
+        got = got.as_dict()
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_macc_of_one_pair_is_its_row_of_a_block(data):
+    k = data.draw(st.integers(1, 7))
+    pairs = [data.draw(signal_pairs()) for _ in range(k)]
+    n = min(p.samples.size for p, _ in pairs)
+    x = np.stack([p.samples[:n] for p, _ in pairs])
+    y = np.stack([g.samples[:n] for _, g in pairs])
+    max_lag_s = data.draw(max_lags(n))
+    rows = _macc_rows(x, y, FS, max_lag_s)
+    assert rows == [macc(Waveform(a, FS), Waveform(b, FS), max_lag_s) for a, b in zip(x, y)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(int(10 * FS), 1201), pad_factor=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("hr", "rr")),
+       tone=st.sampled_from(("inside", "lo", "hi")))
+def test_rate_and_snr_match_their_mask_oracles(n, pad_factor, seed, kind, tone):
+    rng = np.random.default_rng(seed)
+    band = band_for(kind)
+    if tone == "inside":
+        f = rng.uniform(band.lo_hz, band.hi_hz)
+    else:
+        # band edges exactly on a padded bin, and the tone on one of them
+        nfft = pad_factor * (1 << (n - 1).bit_length())
+        freqs = np.fft.rfftfreq(nfft, 1.0 / FS)
+        lo, hi = np.searchsorted(freqs, [band.lo_hz, band.hi_hz])
+        band = RateBand(float(freqs[lo]), float(freqs[hi]))
+        f = band.lo_hz if tone == "lo" else band.hi_hz
+    t = np.arange(n) / FS
+    wave = Waveform(np.sin(2 * np.pi * f * t) + 0.5 * rng.normal(size=n), FS)
+    rate = estimate_rate_fft(wave, band, pad_factor)
+    assert rate == _rate_oracle(wave, band, pad_factor)
+    for ref_rate in (rate, 60.0 * band.lo_hz, 60.0 * band.hi_hz, 60.0 * f):
+        assert _outcome(snr, wave, ref_rate, band) == _outcome(_snr_oracle, wave, ref_rate, band)
+
+
+def test_snr_band_edges_on_native_bins():
+    # a 12 s window at 25 Hz has bins every 1/12 Hz: 0.5 and 3.25 Hz are bins
+    n = 300
+    freqs = np.fft.rfftfreq(n, 1.0 / FS)
+    band = RateBand(float(freqs[6]), float(freqs[39]))
+    assert band.lo_hz == 0.5 and band.hi_hz == 3.25
+    t = np.arange(n) / FS
+    rng = np.random.default_rng(5)
+    for f in (band.lo_hz, band.hi_hz, 1.0):
+        wave = Waveform(np.sin(2 * np.pi * f * t) + 0.2 * rng.normal(size=n), FS)
+        for ref_rate in (60.0 * band.lo_hz, 60.0 * band.hi_hz, 60.0 * f):
+            assert _outcome(snr, wave, ref_rate, band) == _outcome(_snr_oracle, wave, ref_rate, band)
