@@ -29,19 +29,20 @@ signals.
 
 Aggregate evaluation follows a windowing protocol: non-overlapping 30 s
 windows, per-window rates feeding MAE/RMSE/MAPE/Corr, per-window SNR and
-MACC averaged with their standard errors. Each window's rate is its own
-estimate_rate_fft call; SNR and MACC are scored for blocks of windows,
-2-D views of the signals, with the per-row arithmetic of snr and macc,
-which are one-row calls of the same code. tests/test_metrics.py keeps
-the per-window loop as the oracle.
+MACC averaged with their standard errors. Each window is one
+estimate_rate_fft call per signal, one snr and one macc call, made
+through the module's names, so a caller that rebinds them (a probe or a
+timer) sees every window.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, check_int
-from .factorize import _unit_scaled
+from .factorize import _exponent, _unit_scaled
 from .tensors import Waveform
 
 MIN_DURATION_S = 10.0     # shortest signal the rate estimator accepts
@@ -50,10 +51,6 @@ PAD_FACTOR = 8
 SNR_FUND_HZ = 0.1         # half-width of the fundamental window
 SNR_HARM_HZ = 0.2         # half-width of the second-harmonic window
 SNR_CLIP_DB = (-20.0, 40.0)
-# Windows whose SNR and MACC are scored together. MACC holds about a
-# dozen (rows, lags) temporaries per block; larger blocks save little
-# numpy call overhead and cost peak memory.
-_BLOCK_ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,16 @@ def _next_pow2(n):
     return 1 << (int(n) - 1).bit_length()
 
 
+def _mean(x):
+    """x.mean(axis=-1, keepdims=True) bit for bit (the same pairwise sum
+    over the same count), without np.mean's Python-level wrapper, which
+    costs more than the sum itself on a 30 s window."""
+    return x.sum(axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _detrended(wave):
     x = wave.samples
-    return x - x.mean()
+    return x - _mean(x)
 
 
 def estimate_rate_fft(wave, band, pad_factor=PAD_FACTOR):
@@ -147,14 +151,21 @@ def estimate_rate_fft(wave, band, pad_factor=PAD_FACTOR):
     if band.hi_hz > wave.fs / 2:
         raise DomainError(f"band [{band.lo_hz}, {band.hi_hz}] Hz extends past Nyquist {wave.fs / 2}")
     nfft = pad_factor * _next_pow2(n)
-    freqs = np.fft.rfftfreq(nfft, 1.0 / wave.fs)
-    # freqs ascend, so the in-band bins are one slice
-    lo = np.searchsorted(freqs, band.lo_hz, "left")
-    hi = np.searchsorted(freqs, band.hi_hz, "right")
+    lo, hi = _band_bins(nfft, wave.fs, band)
     if lo == hi:
         raise DomainError("no FFT bins inside the band")
-    spec = np.fft.rfft(_detrended(wave), n=nfft)[lo:hi]
-    return 60.0 * freqs[lo + np.argmax(np.abs(spec))]
+    peak = lo + int(np.argmax(np.abs(np.fft.rfft(_detrended(wave), n=nfft)[lo:hi])))
+    # the peak's entry of rfftfreq(nfft, 1 / fs), by rfftfreq's own formula
+    return 60.0 * (peak * (1.0 / (nfft * (1.0 / wave.fs))))
+
+
+@lru_cache(maxsize=64)
+def _band_bins(nfft, fs, band):
+    """The bins of rfftfreq(nfft, 1 / fs) inside band, as a range lo:hi
+    (the frequencies ascend). Cached: a window length, sampling rate and
+    band recur from window to window."""
+    freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
+    return int(np.searchsorted(freqs, band.lo_hz, "left")), int(np.searchsorted(freqs, band.hi_hz, "right"))
 
 
 def snr(pred, ref_rate, band):
@@ -164,44 +175,32 @@ def snr(pred, ref_rate, band):
     harmonic counts as signal; the rest of the in-band power is noise.
     Clipped to [-20, 40] dB, unpadded spectrum (see module docstring).
     """
-    return _snr_rows(pred.samples[None], pred.fs, [ref_rate], band)[0]
-
-
-def _snr_rows(x, fs, ref_rates, band):
-    """snr of each row of a (k, n) block against its reference rate,
-    from one batched rfft."""
-    f0s = np.divide(ref_rates, 60.0)
-    for ref_rate, f0 in zip(ref_rates, f0s):
-        if not band.lo_hz <= f0 <= band.hi_hz:
-            raise DomainError(
-                f"reference rate {ref_rate}/min lies outside the band "
-                f"[{band.lo_hz * 60:.0f}, {band.hi_hz * 60:.0f}]/min"
-            )
-    power = np.abs(np.fft.rfft(x - x.mean(axis=1, keepdims=True), axis=1))
-    power *= power
-    freqs = np.fft.rfftfreq(x.shape[1], 1.0 / fs)
-    inband = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
-    f0 = f0s[:, None]
+    f0 = ref_rate / 60.0
+    if not band.lo_hz <= f0 <= band.hi_hz:
+        raise DomainError(
+            f"reference rate {ref_rate}/min lies outside the band "
+            f"[{band.lo_hz * 60:.0f}, {band.hi_hz * 60:.0f}]/min"
+        )
+    x = _detrended(pred)
+    power = np.abs(np.fft.rfft(x)) ** 2
+    freqs = np.fft.rfftfreq(x.size, 1.0 / pred.fs)
     sig = (np.abs(freqs - f0) <= SNR_FUND_HZ) | (np.abs(freqs - 2 * f0) <= SNR_HARM_HZ)
+    inband = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
+    p_sig = float(power[sig].sum())
+    p_noise = float(power[inband & ~sig].sum())
     lo, hi = SNR_CLIP_DB
-    out = []
-    for p, s, noise in zip(power, sig, inband & ~sig):
-        p_sig = float(p[s].sum())
-        p_noise = float(p[noise].sum())
-        if p_sig == 0.0:
-            out.append(lo)
-        elif p_noise == 0.0:
-            out.append(hi)
-        else:
-            out.append(float(np.clip(10.0 * np.log10(p_sig / p_noise), lo, hi)))
-    return out
+    if p_sig == 0.0:
+        return lo
+    if p_noise == 0.0:
+        return hi
+    return float(np.clip(10.0 * np.log10(p_sig / p_noise), lo, hi))
 
 
 def _pearson(a, b):
     a, _ = _unit_scaled(a)
     b, _ = _unit_scaled(b)
-    ac = a - a.mean()
-    bc = b - b.mean()
+    ac = a - _mean(a)
+    bc = b - _mean(b)
     denom = np.sqrt(float(ac @ ac) * float(bc @ bc))
     if denom == 0.0:
         return 0.0
@@ -216,34 +215,42 @@ def _overlap(x, y, lag):
     return x[: n + lag], y[-lag:]
 
 
-def _lagged_abs_pearson(v, lags):
-    """|r| at every lag in -L..L for each pair of rows i and k + i of a
-    (2k, n) block (x's k rows over y's), from one cross-correlation per
-    pair and prefix sums, plus a bound on how far each value may sit
-    from _pearson's for that lag.
+def _lagged_abs_pearson(v, peaks, max_lag):
+    """|r| at every lag in -max_lag..max_lag between the rows x = v[0]
+    and y = v[1] of a (2, n) array, whose largest magnitudes are the
+    two peaks, from one cross-correlation and prefix sums, plus a
+    bound on how far each value may sit from _pearson's for that lag.
 
-    Each row is centred on its whole-window mean first, so the prefix
-    sums carry no DC term to cancel. Where an overlap's variance is lost
-    in rounding the bound is infinite and |r| is reported as 0.
+    Both rows are centred on their whole-window means first, so the
+    prefix sums carry no DC term to cancel. Where an overlap's variance
+    is lost in rounding the bound is infinite.
     """
-    k, n = v.shape[0] // 2, v.shape[1]
-    vc = v - v.mean(axis=1, keepdims=True)
-    at = lags + (n - 1)
-    cross = np.stack([np.correlate(a, b, "full")[at] for a, b in zip(vc[:k], vc[k:])])
+    n = v.shape[1]
+    w = np.empty((4, n))    # centred x and y, then their squares
+    np.subtract(v, _mean(v), out=w[:2])
+    np.multiply(w[:2], w[:2], out=w[2:])
+    # np.correlate's "same" mode takes lags -(n // 2)..(n - 1) // 2 only,
+    # with the dot products "full" takes for them; at max_lag = n / 2,
+    # the default, that is about 3/4 of "full"'s work
+    if max_lag <= n // 2:
+        cross = np.correlate(w[0], w[1], "same")[n // 2 - max_lag : n // 2 + max_lag + 1]
+        if cross.size == 2 * max_lag:    # even n: lag n / 2 is one more dot
+            cross = np.append(cross, w[0, max_lag:] @ w[1, : n - max_lag])
+    else:
+        cross = np.correlate(w[0], w[1], "full")[n - 1 - max_lag : n + max_lag]
 
     # Sums over each lag's overlap: x's runs from max(lag, 0) to
     # min(n + lag, n), and y's is x's range at -lag, so y's sums are
-    # those of the same formula in reverse lag order.
-    pre = np.zeros((2, 2 * k, n + 1))
-    np.cumsum(vc, axis=1, out=pre[0, :, 1:])
-    np.cumsum(vc * vc, axis=1, out=pre[1, :, 1:])
-    s, ss = pre[:, :, np.minimum(n + lags, n)] - pre[:, :, np.maximum(lags, 0)]
-    sa, saa = s[:k], ss[:k]
-    sb, sbb = s[k:, ::-1], ss[k:, ::-1]
-    m = n - np.abs(lags)
-    cov = cross - sa * sb / m
-    var_a = saa - sa * sa / m
-    var_b = sbb - sb * sb / m
+    # those of the same formula in reverse lag order (m = n - |lag| is
+    # symmetric, so y's rows are reversed after use).
+    pre = np.zeros((4, n + 1))
+    np.cumsum(w, axis=1, out=pre[:, 1:])
+    s = np.empty((4, 2 * max_lag + 1))
+    s[:, :max_lag] = pre[:, n - max_lag : n]
+    np.subtract(pre[:, n:], pre[:, : max_lag + 1], out=s[:, max_lag:])
+    m = n - np.abs(np.arange(-max_lag, max_lag + 1.0))
+    var = s[2:] - s[:2] * s[:2] / m
+    cov = cross - s[0] * s[1, ::-1] / m
 
     # The sums above are accurate to about tol times the whole window's
     # sum of squares. _pearson centres each overlap on a mean that is
@@ -252,14 +259,15 @@ def _lagged_abs_pearson(v, lags):
     # each floor bounds that signal's share of the error on r.
     eps = np.finfo(np.float64).eps
     tol = 16.0 * eps * n ** 1.5
-    shift = 2.0 * n * eps * np.max(np.abs(v), axis=1)
-    floors = (tol * np.array([row @ row for row in vc]) + n * shift * shift)[:, None]
-    floor_a, floor_b = floors[:k], floors[k:]
-    sure = (var_a > floor_a) & (var_b > floor_b)
-    safe_a = np.where(sure, var_a, 1.0)
-    safe_b = np.where(sure, var_b, 1.0)
-    r = np.where(sure, np.abs(cov) / np.sqrt(safe_a * safe_b), 0.0)
-    slack = np.where(sure, floor_a / safe_a + floor_b / safe_b, np.inf)
+    floors = np.array([[tol * float(row @ row) + n * (2.0 * n * eps * peak) ** 2]
+                       for row, peak in zip(w[:2], peaks)])
+    ok = var > floors
+    sure = ok[0] & ok[1, ::-1]
+    safe = np.where(ok, var, 1.0)
+    r = np.abs(cov) / np.sqrt(safe[0] * safe[1, ::-1])
+    share = floors / safe
+    slack = share[0] + share[1, ::-1]
+    slack[~sure] = np.inf
     return r, slack
 
 
@@ -278,36 +286,34 @@ def macc(pred, gt, max_lag_s=None):
     """
     if pred.fs != gt.fs:
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
-    if pred.samples.size != gt.samples.size:
-        raise DomainError(f"length mismatch: {pred.samples.size} vs {gt.samples.size}")
-    return _macc_rows(pred.samples[None], gt.samples[None], pred.fs, max_lag_s)[0]
-
-
-def _macc_rows(x, y, fs, max_lag_s):
-    """macc of each row pair of two (k, n) blocks sampled at fs."""
-    k, n = x.shape
+    x = pred.samples
+    y = gt.samples
+    if x.size != y.size:
+        raise DomainError(f"length mismatch: {x.size} vs {y.size}")
     if max_lag_s is None:
-        max_lag_s = n / (2.0 * fs)
+        max_lag_s = x.size / (2.0 * pred.fs)
     if not max_lag_s >= 0:
         raise DomainError(f"max_lag_s must be >= 0, got {max_lag_s}")
-    max_lag = int(round(min(max_lag_s * fs, n - 3)))
-    out = [0.0] * k
-    # no overlap of 3 samples, or a constant signal: r = 0 at every lag
-    live = np.flatnonzero((np.ptp(x, axis=1) > 0) & (np.ptp(y, axis=1) > 0))
-    if max_lag < 0 or live.size == 0:
-        return out
-    lags = np.arange(-max_lag, max_lag + 1)
-    r, slack = _lagged_abs_pearson(np.stack([_unit_scaled(row)[0] for row in (*x, *y)]), lags)
+    max_lag = int(round(min(max_lag_s * pred.fs, x.size - 3)))
+    v = np.array((x, y))
+    top, bottom = v.max(axis=1).tolist(), v.min(axis=1).tolist()
+    if max_lag < 0 or top[0] == bottom[0] or top[1] == bottom[1]:
+        # no overlap of 3 samples, or a constant signal: r = 0 at every lag
+        return 0.0
+    # each row divided by the power of two at or below its peak, as
+    # _unit_scaled does: exact, so the peaks land in [1, 2)
+    peaks = [max(hi, -lo) for hi, lo in zip(top, bottom)]
+    exps = [_exponent(p) for p in peaks]
+    r, slack = _lagged_abs_pearson(np.ldexp(v, np.array([[-e] for e in exps], dtype=np.intc)),
+                                   [math.ldexp(p, -e) for p, e in zip(peaks, exps)], max_lag)
     # a NaN cutoff keeps every lag, which falls back to the full loop
-    keep = ~(r + slack < np.max(r - slack, axis=1, keepdims=True))
-    for i in live:
-        best = 0.0
-        for lag in lags[keep[i]]:
-            best = max(best, abs(_pearson(*_overlap(x[i], y[i], int(lag)))))
-        # |r| <= 1 mathematically; trim the roundoff excess so identical
-        # signals report exactly 1.0
-        out[i] = min(best, 1.0)
-    return out
+    contenders = np.flatnonzero(~(r + slack < np.max(r - slack))) - max_lag
+    best = 0.0
+    for lag in contenders:
+        best = max(best, abs(_pearson(*_overlap(x, y, int(lag)))))
+    # |r| <= 1 mathematically; trim the roundoff excess so identical
+    # signals report exactly 1.0
+    return min(best, 1.0)
 
 
 def _avg_se(terms):
@@ -395,17 +401,6 @@ def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
     return out
 
 
-def _row_blocks(samples, windows):
-    """The windows split_windows cut from samples, as 2-D views of at
-    most _BLOCK_ROWS rows; a trailing short window is a block of its own."""
-    size = windows[0].samples.size
-    rows = samples[: samples.size // size * size].reshape(-1, size)
-    blocks = [rows[i : i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS)]
-    if len(windows) > len(rows):
-        blocks.append(windows[-1].samples[None])
-    return blocks
-
-
 def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACTOR,
                      max_lag_s=None, corr="auto", band=None):
     """Full windowed evaluation of a prediction against ground truth.
@@ -420,18 +415,17 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
     band = band_for(kind) if band is None else band
     n = min(pred.samples.size, gt.samples.size)
-    xp, xg = pred.samples[:n], gt.samples[:n]
-    pw = split_windows(Waveform(xp, pred.fs), window_s)
-    gw = split_windows(Waveform(xg, gt.fs), window_s)
+    pw = split_windows(Waveform(pred.samples[:n], pred.fs), window_s)
+    gw = split_windows(Waveform(gt.samples[:n], gt.fs), window_s)
 
     rates_p, rates_g, snrs, maccs = [], [], [], []
-    for bp, bg in zip(_row_blocks(xp, pw), _row_blocks(xg, gw)):
-        i = len(rates_p)
-        for wp, wg in zip(pw[i : i + len(bp)], gw[i : i + len(bp)]):
-            rates_p.append(estimate_rate_fft(wp, band, pad_factor))
-            rates_g.append(estimate_rate_fft(wg, band, pad_factor))
-        snrs += _snr_rows(bp, pred.fs, rates_g[i:], band)
-        maccs += _macc_rows(bp, bg, pred.fs, max_lag_s)
+    for wp, wg in zip(pw, gw):
+        rp = estimate_rate_fft(wp, band, pad_factor)
+        rg = estimate_rate_fft(wg, band, pad_factor)
+        rates_p.append(rp)
+        rates_g.append(rg)
+        snrs.append(snr(wp, rg, band))
+        maccs.append(macc(wp, wg, max_lag_s))
 
     report = error_metrics(rates_p, rates_g, corr=corr)
     snr_avg, snr_se = _avg_se(snrs)
