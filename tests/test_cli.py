@@ -74,8 +74,9 @@ DATA = Path(__file__).parent / "data"
 
 # Each input pair is six 30 s windows plus a trailing 12 s one, one seeded
 # rate per window, the prediction being the ground truth plus Gaussian
-# noise (HR at 12.5 Hz, RR at 5 Hz). The outputs were written by the
-# per-window evaluation loop that the batched one replaced.
+# noise (HR at 12.5 Hz, RR at 5 Hz). The outputs were written before
+# macc and estimate_rate_fft were made leaner, so they pin every report
+# byte for byte across that rework.
 GOLDEN_METRICS = [
     ("metrics_hr_table.txt", ["--kind", "hr", "--fs", "12.5"]),
     ("metrics_hr.json", ["--kind", "hr", "--fs", "12.5", "--format", "json"]),
