@@ -8,7 +8,6 @@ from .factorize import (
     FactorizationResult,
     FactorPair,
     GrbfBasis,
-    TargetConstraint,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,

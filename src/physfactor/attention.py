@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_finite, check_int
 from .factorize import (
     FactorizationResult,
     _grbf_params,
@@ -85,7 +85,7 @@ class AttentionOutput:
 def _mix_weights(w, kappa, name):
     if w is None:
         return None
-    w = np.asarray(w, dtype=np.float64)
+    w = check_finite(w, name)
     if w.shape != (kappa, kappa):
         raise DomainError(f"{name} must be {kappa}x{kappa}, got {w.shape}")
     return w
@@ -129,7 +129,7 @@ def solve(v, cfg, target=None):
     elif target is None:
         raise DomainError("tsfm needs a target signal")
     else:
-        basis = target_basis(target, v.m).basis
+        basis = target_basis(target, v.m)
     return constrained_nmf_mu(v, basis, cfg.rank, cfg.iterations, cfg.seed)
 
 
@@ -160,12 +160,10 @@ def csim_map(eps, target):
     with the target; the result lies in [0, 1] for any finite input.
     Zero traces map to 0 rather than dividing by zero.
     """
-    y = np.asarray(target, dtype=np.float64).ravel()
+    y = check_finite(target, "csim_map target").ravel()
     if y.size != eps.tau:
         raise DomainError(f"target length {y.size} does not match tau = {eps.tau}")
-    x = eps.data
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise DomainError("csim_map needs a finite embedding and target")
+    x = check_finite(eps.data, "csim_map embedding")
     ymax = np.max(np.abs(y))
     if ymax == 0.0:
         raise DomainError("target signal is all zeros")

@@ -21,7 +21,7 @@ import numpy as np
 from . import synth
 from .attention import VARIANTS, compute_attention, csim_map, solve
 from .config import ENV_CONFIG_PATH, defaults_text, load_run_config
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, check_real
 from .metrics import estimate_rate_fft, evaluate_windows
 from .network import forward_multitask, param_count
 from .tensors import EmbeddingMatrix, VoxelEmbedding, Waveform
@@ -172,7 +172,7 @@ def cmd_attend(args):
     else:
         shape = _parse_shape(args.shape, 4, "--shape")
         tau = shape[0]
-        pulse = synth.gen_pulse(args.fs, args.rate, tau / synth.check_fs(args.fs), 0.0, 0.0, cfg.seed)
+        pulse = synth.gen_pulse(args.fs, args.rate, tau / check_real(args.fs, "--fs", gt=0), seed=cfg.seed)
         rng = np.random.default_rng(cfg.seed)
         coords = [
             (c, a, b)

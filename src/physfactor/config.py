@@ -11,12 +11,11 @@ supported key and its default.
 """
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, replace
 
 from .attention import AttentionConfig
-from .errors import DomainError, InputFormatError, check_int
+from .errors import InputFormatError, check_int, check_real
 from .metrics import RateBand
 from .network import ModelConfig
 
@@ -80,13 +79,9 @@ def _parse(section, key, raw):
         if kind is tuple:
             return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
         if kind is bool:
-            if raw.lower() in ("true", "yes", "on", "1"):
-                return True
-            if raw.lower() in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         what = "an integer list" if kind is tuple else kind.__name__
         raise InputFormatError(f"[{section}] {key}: cannot parse {raw!r} as {what}") from None
 
@@ -117,10 +112,9 @@ class RunConfig:
         # the metrics keys as estimate_rate_fft, split_windows and macc
         # check them, less what depends on the signal's sampling rate
         check_int(self.pad_factor, "[metrics] pad_factor", 1)
-        if not 0 < self.window_s < math.inf:
-            raise DomainError(f"[metrics] window_s must be positive and finite, got {self.window_s}")
-        if self.max_lag_s is not None and not self.max_lag_s >= 0:
-            raise DomainError(f"[metrics] max_lag_s must be >= 0 or auto, got {self.max_lag_s}")
+        check_real(self.window_s, "[metrics] window_s", gt=0)
+        if self.max_lag_s is not None:
+            check_real(self.max_lag_s, "[metrics] max_lag_s", ge=0)
 
     def band(self, kind):
         if kind == "hr":

@@ -1,11 +1,16 @@
-"""Error types shared across the package, and the one integer check.
+"""Error types shared across the package, and the checks that decide
+which integers, reals and arrays the library accepts.
 
 Two classes of failure are distinguished so the command line driver can
 map them onto exit codes: domain errors (bad values, violated
 preconditions) and input format errors (unreadable or malformed files).
 """
 
+import math
+import numbers
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -29,3 +34,36 @@ def check_int(value, name, lo=None):
     if lo is not None and out < lo:
         raise DomainError(f"{name} must be >= {lo}, got {out}")
     return out
+
+
+def check_real(value, name, gt=None, ge=None, lt=None, le=None):
+    """value as a finite Python float: a Python or numpy real number
+    within each bound given (value > gt, value >= ge, value < lt,
+    value <= le). NaN, +-inf, a bool and a str are refused with
+    DomainError, and so is an integer beyond float64's range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"{name} must be finite, got {out}")
+    for bound, sign, holds in ((gt, ">", operator.gt), (ge, ">=", operator.ge),
+                               (lt, "<", operator.lt), (le, "<=", operator.le)):
+        if bound is not None and not holds(out, bound):
+            raise DomainError(f"{name} must be {sign} {bound}, got {out}")
+    return out
+
+
+def check_finite(a, name):
+    """a as a float64 array (not copied when it is one); DomainError,
+    naming the first non-finite entry and its index, unless every entry
+    is finite."""
+    a = np.asarray(a, dtype=np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        where = np.argwhere(~finite)[0]
+        index = int(where[0]) if a.ndim == 1 else tuple(where.tolist())
+        raise DomainError(f"{name} must be finite, got {a[tuple(where)]} at index {index}")
+    return a

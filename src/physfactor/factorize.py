@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_finite, check_int, check_real
 from .tensors import EmbeddingMatrix, Waveform
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
@@ -143,15 +143,6 @@ class GrbfBasis:
 
 
 @dataclass(frozen=True)
-class TargetConstraint:
-    """Single-column constraint built from a target signal, min-max
-    normalized into [floor, 1]."""
-
-    basis: np.ndarray
-    floor: float
-
-
-@dataclass(frozen=True)
 class FactorizationResult:
     factors: FactorPair
     low_rank: np.ndarray
@@ -229,11 +220,10 @@ def _grbf_params(sigma, delta_t, prefix):
     >= 1, sigma positive and finite with 2 sigma^2 finite and non-zero
     in float64. A DomainError names each as prefix + name."""
     delta_t = check_int(delta_t, f"{prefix}delta_t", 1)
-    with np.errstate(over="ignore"):    # an overflow to inf is rejected below
+    sigma = check_real(sigma, f"{prefix}sigma", gt=0)
+    with np.errstate(over="ignore"):    # an overflow to inf is refused below
         two_var = 2.0 * np.float64(sigma) ** 2
-    if not (0 < sigma < np.inf and 0 < two_var < np.inf):
-        raise DomainError(f"{prefix}sigma must be > 0 with a finite, non-zero 2 sigma^2, got {sigma}")
-    return float(sigma), two_var, delta_t
+    return sigma, check_real(two_var, f"2 {prefix}sigma^2", gt=0), delta_t
 
 
 def _mu_step(x, num, den):
@@ -420,26 +410,22 @@ def grbf_basis(m, sigma, delta_t):
 
 
 def target_basis(y, m, floor=1e-3):
-    """Turn a target signal into a single non-negative constraint column.
+    """Turn a target signal into a single non-negative constraint column,
+    the read-only (m, 1) basis of the tsfm solve.
 
-    The signal is min-max normalized onto [floor, 1]:
+    The signal is min-max normalized onto [floor, 1], with floor in (0, 1):
         basis = floor + (1 - floor) * (y - min y) / (max y - min y)
     A constant signal is rejected, it would make the constrained
     factorization degenerate, and so is a non-finite one.
     """
-    if isinstance(y, Waveform):
-        y = y.samples
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = check_finite(y.samples if isinstance(y, Waveform) else y, "target signal").ravel()
     if y.size != check_int(m, "target_basis m"):
         raise DomainError(f"target length {y.size} does not match m = {m}")
-    if not np.isfinite(y).all():
-        raise DomainError("target signal must be finite")
-    if not 0 < floor < 1:
-        raise DomainError(f"floor must lie in (0, 1), got {floor}")
+    check_real(floor, "target_basis floor", gt=0, lt=1)
     lo, hi = y.min(), y.max()
     if hi == lo:
         raise DomainError("target signal is constant, cannot build a constraint")
     col = floor + (1.0 - floor) * (y - lo) / (hi - lo)
     col = col[:, None]
     col.flags.writeable = False
-    return TargetConstraint(col, float(floor))
+    return col

@@ -9,17 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_real
 from .factorize import _unit_scaled
 from .tensors import Waveform
 
 
 def _samples(x):
     """The samples of a Waveform or vector; DomainError unless finite."""
-    s = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64).ravel()
-    if not np.isfinite(s).all():
-        raise DomainError("loss inputs must be finite")
-    return s
+    return check_finite(x.samples if isinstance(x, Waveform) else x, "loss input").ravel()
 
 
 def neg_pearson_loss(pred, gt):
@@ -128,8 +125,7 @@ def fd_gradient_check(loss_kind, point, step=1e-5):
     """
     if loss_kind not in _LOSSES:
         raise DomainError(f"unknown loss kind {loss_kind!r}")
-    if not 0 < step < np.inf:
-        raise DomainError(f"step must be positive and finite, got {step}")
+    check_real(step, "step", gt=0)
     fn = _LOSSES[loss_kind]
     x = _samples(point[0]).copy()
     y = _samples(point[1])

@@ -36,12 +36,12 @@ timer) sees every window.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_finite, check_int, check_real
 from .factorize import _exponent, _unit_scaled
 from .tensors import Waveform
 
@@ -59,8 +59,7 @@ class RateBand:
     hi_hz: float
 
     def __post_init__(self):
-        if not 0 < self.lo_hz < self.hi_hz:
-            raise DomainError(f"band must satisfy 0 < lo < hi, got [{self.lo_hz}, {self.hi_hz}]")
+        check_real(self.hi_hz, "band hi_hz", gt=check_real(self.lo_hz, "band lo_hz", gt=0))
 
 
 HR_BAND = RateBand(0.6, 3.3)     # 36..198 beats/min
@@ -108,8 +107,7 @@ def concat_windows(segments, cap_s=WINDOW_S):
     seconds (positive and finite) or the total length."""
     if not segments:
         raise DomainError("concat_windows needs at least one segment")
-    if not 0 < cap_s < np.inf:
-        raise DomainError(f"cap_s must be positive and finite, got {cap_s}")
+    check_real(cap_s, "cap_s", gt=0)
     fs = segments[0].fs
     for seg in segments:
         if seg.fs != fs:
@@ -292,8 +290,8 @@ def macc(pred, gt, max_lag_s=None):
         raise DomainError(f"length mismatch: {x.size} vs {y.size}")
     if max_lag_s is None:
         max_lag_s = x.size / (2.0 * pred.fs)
-    if not max_lag_s >= 0:
-        raise DomainError(f"max_lag_s must be >= 0, got {max_lag_s}")
+    else:
+        check_real(max_lag_s, "max_lag_s", ge=0)
     max_lag = int(round(min(max_lag_s * pred.fs, x.size - 3)))
     v = np.array((x, y))
     top, bottom = v.max(axis=1).tolist(), v.min(axis=1).tolist()
@@ -342,14 +340,12 @@ def error_metrics(preds, gts, corr="strict"):
     Returns:
         MetricsReport with the four error metrics filled in.
     """
-    p = np.asarray(preds, dtype=np.float64).ravel()
-    g = np.asarray(gts, dtype=np.float64).ravel()
+    p = check_finite(preds, "error_metrics preds").ravel()
+    g = check_finite(gts, "error_metrics gts").ravel()
     if p.size == 0:
         raise DomainError("error_metrics needs at least one pair")
     if p.size != g.size:
         raise DomainError(f"length mismatch: {p.size} vs {g.size}")
-    if not (np.isfinite(p).all() and np.isfinite(g).all()):
-        raise DomainError("error_metrics needs finite rates")
     if np.any(g == 0):
         raise DomainError("zero ground-truth rate makes MAPE undefined")
     d = p - g
@@ -386,9 +382,8 @@ def error_metrics(preds, gts, corr="strict"):
 def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
     """Non-overlapping windows of window_s seconds; a trailing remainder
     is kept when it is long enough for rate estimation."""
-    if not 1 <= window_s * wave.fs < np.inf:
-        raise DomainError(f"window_s must span at least one sample, got {window_s}")
-    size = int(round(window_s * wave.fs))
+    check_real(window_s, "window_s")
+    size = int(round(check_real(window_s * wave.fs, "window_s * fs (samples per window)", ge=1)))
     out = []
     for start in range(0, wave.samples.size, size):
         chunk = wave.samples[start : start + size]
@@ -427,15 +422,5 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
         snrs.append(snr(wp, rg, band))
         maccs.append(macc(wp, wg, max_lag_s))
 
-    report = error_metrics(rates_p, rates_g, corr=corr)
-    snr_avg, snr_se = _avg_se(snrs)
-    macc_avg, macc_se = _avg_se(maccs)
-    return MetricsReport(
-        n=report.n,
-        mae=report.mae,
-        rmse=report.rmse,
-        mape=report.mape,
-        corr=report.corr,
-        snr=MetricValue(snr_avg, snr_se),
-        macc=MetricValue(macc_avg, macc_se),
-    )
+    return replace(error_metrics(rates_p, rates_g, corr=corr),
+                   snr=MetricValue(*_avg_se(snrs)), macc=MetricValue(*_avg_se(maccs)))

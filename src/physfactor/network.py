@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
-from .errors import DomainError, check_int
+from .errors import DomainError, check_finite, check_int
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 
@@ -136,22 +136,18 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
     Returns:
         VoxelEmbedding with extents floor((in + 2 pad - kernel)/stride) + 1.
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = check_finite(weights, "conv weights")
     if w.ndim != 5:
         raise DomainError("conv weights must be 5D (out_c, in_c, kt, ka, kb)")
     if min(w.shape) < 1:
         raise DomainError(f"conv weight extents must all be >= 1, got {w.shape}")
     if w.shape[1] != eps.kappa:
         raise DomainError(f"weights expect {w.shape[1]} input channels, embedding has {eps.kappa}")
-    if not np.isfinite(w).all():
-        raise DomainError("conv weights must be finite")
     co, ci, kt, ka, kb = w.shape
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
+        bias = check_finite(bias, "conv bias")
         if bias.shape != (co,):
             raise DomainError(f"conv bias must have shape ({co},), got {bias.shape}")
-        if not np.isfinite(bias).all():
-            raise DomainError("conv bias must be finite")
     if np.shape(strides) != (3,) or np.shape(padding) != (3,):
         raise DomainError(f"strides and padding must be three integers each, got {strides!r}, {padding!r}")
     st, sa, sb = (check_int(v, "strides", 1) for v in strides)

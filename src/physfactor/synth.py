@@ -6,33 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 PULSE_RATE_RANGE = (30.0, 220.0)     # plausible heart rates, beats/min
 RESP_RATE_RANGE = (4.0, 40.0)        # plausible breathing rates, breaths/min
 
 
-def check_fs(fs):
-    """fs as a float; DomainError unless it is finite and > 0."""
-    if not 0 < fs < np.inf:
-        raise DomainError(f"sampling rate fs must be positive and finite, got {fs}")
-    return float(fs)
-
-
-def _check_noise(noise_sigma):
-    # written so that NaN fails the comparison
-    if not 0 <= noise_sigma < np.inf:
-        raise DomainError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
-
-
 def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, hi):
-    fs = check_fs(fs)
-    if not lo <= rate_bpm <= hi:
-        raise DomainError(f"rate {rate_bpm} outside supported range [{lo}, {hi}] per minute")
-    if not 1.0 <= duration_s < np.inf:
-        raise DomainError(f"duration must be >= 1 s and finite, got {duration_s}")
-    _check_noise(noise_sigma)
+    fs = check_real(fs, "sampling rate fs", gt=0)
+    check_real(rate_bpm, "rate_bpm (per minute)", ge=lo, le=hi)
+    check_real(duration_s, "duration_s", ge=1.0)
+    check_real(noise_sigma, "noise_sigma", ge=0)
     n = int(round(fs * duration_s))
     t = np.arange(n) / fs
     f0 = rate_bpm / 60.0
@@ -84,7 +69,7 @@ class PlantSpec:
         for (c, a, b) in mask:
             if not (0 <= c < kappa and 0 <= a < alpha and 0 <= b < beta):
                 raise DomainError(f"planted coordinate {(c, a, b)} outside shape {shape}")
-        _check_noise(self.noise_sigma)
+        check_real(self.noise_sigma, "noise_sigma", ge=0)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "mask", mask)
 
@@ -129,7 +114,8 @@ def gen_clip(frames, resolution, channels, rate_bpm=72.0, fs=25.0, noise_sigma=0
     frames = check_int(frames, "frames", 1)
     resolution = check_int(resolution, "resolution", 1)
     channels = check_int(channels, "channels", 1)
-    _check_noise(noise_sigma)
+    check_real(fs, "sampling rate fs", gt=0)
+    check_real(noise_sigma, "noise_sigma", ge=0)
     pulse = gen_pulse(fs, rate_bpm, frames / fs if frames / fs >= 1 else 1.0, 0.2, 0.0, seed)
     s = pulse.samples[:frames]
     rng = np.random.default_rng(seed)

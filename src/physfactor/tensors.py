@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_real
 
 
 def _freeze(arr, ndim, name):
@@ -128,19 +128,9 @@ class Waveform:
     fs: float
 
     def __post_init__(self):
-        s = np.ascontiguousarray(np.asarray(self.samples, dtype=np.float64)).view()
-        if s.ndim != 1 or s.size == 0:
-            raise DomainError("Waveform needs a non-empty 1D sample vector")
-        if not 0 < self.fs < np.inf:
-            raise DomainError(f"Waveform fs must be positive and finite, got {self.fs}")
-        bad = np.flatnonzero(~np.isfinite(s))
-        if bad.size:
-            raise DomainError(
-                f"Waveform samples must be finite, got {s[bad[0]]} at index {bad[0]}"
-            )
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "fs", float(self.fs))
+        object.__setattr__(self, "samples", _freeze(self.samples, 1, "Waveform"))
+        check_finite(self.samples, "Waveform samples")
+        object.__setattr__(self, "fs", check_real(self.fs, "Waveform fs", gt=0))
 
     @property
     def duration_s(self):
@@ -173,13 +163,12 @@ def instance_norm(eps, epsilon=1e-5):
 
     Args:
         eps: input embedding.
-        epsilon: variance guard added under the square root, must be > 0.
+        epsilon: variance guard added under the square root, finite and > 0.
 
     Returns:
         VoxelEmbedding of the same shape.
     """
-    if not epsilon > 0:
-        raise DomainError(f"instance_norm epsilon must be positive, got {epsilon}")
+    check_real(epsilon, "instance_norm epsilon", gt=0)
     x = eps.data
     mu = x.mean(axis=(0, 2, 3), keepdims=True)     # (1, c, 1, 1)
     var = x.var(axis=(0, 2, 3), keepdims=True)

@@ -93,7 +93,7 @@ def test_tsfm_span(record):
         m, n = int(rng.integers(16, 64)), int(rng.integers(8, 40))
         rank = int(rng.integers(1, 5))
         y = rng.random(m)
-        basis = target_basis(y, m).basis
+        basis = target_basis(y, m)
         v = EmbeddingMatrix(rng.random((m, n)))
         res = constrained_nmf_mu(v, basis, rank=rank, iterations=4, seed=seed)
         b = basis[:, 0]

@@ -61,7 +61,7 @@ def test_solve_dispatches_each_variant():
     expected = {
         "fsam": nmf_mu(v, 3, 5, 2),
         "grbf": constrained_nmf_mu(v, grbf_basis(20, 1.5, 3).phi, 3, 5, 2),
-        "tsfm": constrained_nmf_mu(v, target_basis(y, 20).basis, 3, 5, 2),
+        "tsfm": constrained_nmf_mu(v, target_basis(y, 20), 3, 5, 2),
     }
     for variant, want in expected.items():
         cfg = AttentionConfig(variant=variant, rank=3, iterations=5,
@@ -197,7 +197,7 @@ def test_tsfm_span_property():
     eps = _rand_eps((30, 3, 2, 2), seed=9, shift=1.0)
     y = np.sin(np.arange(30) * 0.41) + 0.2 * np.cos(np.arange(30) * 0.13)
     out = compute_attention(eps, AttentionConfig(variant="tsfm", rank=5), y)
-    basis = target_basis(y, 30).basis[:, 0]
+    basis = target_basis(y, 30)[:, 0]
     flat = flatten_to_matrix(out.attended).data
     for j in range(flat.shape[1]):
         col = flat[:, j]

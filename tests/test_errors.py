@@ -1,16 +1,21 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physfactor.attention import AttentionConfig
-from physfactor.errors import DomainError, check_int
+from physfactor.attention import AttentionConfig, channel_mix_relu, compute_attention, csim_map
+from physfactor.cli import main
+from physfactor.config import load_run_config
+from physfactor.errors import DomainError, check_finite, check_int, check_real
 from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
-from physfactor.losses import neg_pearson_loss, smooth_l1_loss
-from physfactor.metrics import HR_BAND, error_metrics, estimate_rate_fft
+from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_loss
+from physfactor.metrics import HR_BAND, RateBand, concat_windows, error_metrics, estimate_rate_fft, macc, split_windows
 from physfactor.network import ModelConfig, conv3d_forward
-from physfactor.synth import PlantSpec, gen_clip, gen_pulse
-from physfactor.tensors import VoxelEmbedding
+from physfactor.synth import PlantSpec, gen_clip, gen_pulse, gen_resp
+from physfactor.tensors import VoxelEmbedding, Waveform, instance_norm
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 2**70])
@@ -72,6 +77,12 @@ _TAKES_A_VECTOR = {
     "error_metrics preds": lambda bad, ok: error_metrics(bad, ok, corr="skip"),
     "error_metrics gts": lambda bad, ok: error_metrics(ok, bad, corr="skip"),
     "target_basis": lambda bad, ok: target_basis(bad, bad.size),
+    "Waveform samples": lambda bad, ok: Waveform(bad, 25.0),
+    "mix weights": lambda bad, ok: channel_mix_relu(VoxelEmbedding(np.ones((2, bad.size, 1, 1))), np.diag(bad)),
+    "csim_map target": lambda bad, ok: csim_map(VoxelEmbedding(np.ones((bad.size, 1, 2, 2))), bad),
+    "conv weights": lambda bad, ok: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), bad.reshape(-1, 1, 1, 1, 1)),
+    "conv bias": lambda bad, ok: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), np.ones((bad.size, 1, 1, 1, 1)),
+                                                bias=bad),
     "neg_pearson_loss pred": lambda bad, ok: neg_pearson_loss(bad, ok),
     "neg_pearson_loss gt": lambda bad, ok: neg_pearson_loss(ok, bad),
     "smooth_l1_loss pred": lambda bad, ok: smooth_l1_loss(bad, ok),
@@ -95,3 +106,114 @@ def test_a_non_finite_sample_is_refused(n, data, value, call):
     bad[data.draw(st.integers(0, n - 1), label="index")] = value
     with pytest.raises(DomainError, match="finite"):
         _TAKES_A_VECTOR[call](bad, ok)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), Fraction(2, 1), 2.0])
+def test_check_real_returns_a_python_float(value):
+    out = check_real(value, "x", gt=0)
+    assert out == 2.0 and type(out) is float
+
+
+@pytest.mark.parametrize("value, words", [
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (10**400, "finite"),
+    (True, "a real number"), (np.True_, "a real number"), ("2", "a real number"), (None, "a real number"),
+    (np.array([2.0]), "a real number"),
+])
+def test_check_real_refuses_non_finite_and_non_reals(value, words):
+    with pytest.raises(DomainError, match=f"x must be {words}"):
+        check_real(value, "x")
+
+
+def test_check_real_bounds():
+    assert check_real(0.0, "x", ge=0.0, le=0.0) == 0.0
+    for bounds, message in [({"gt": 0.0}, "x must be > 0.0, got 0.0"), ({"ge": 1}, "x must be >= 1, got 0.0"),
+                            ({"lt": 0.0}, "x must be < 0.0, got 0.0"), ({"le": -1}, "x must be <= -1, got 0.0")]:
+        with pytest.raises(DomainError, match=message):
+            check_real(0.0, "x", **bounds)
+
+
+def test_check_finite_names_the_first_bad_entry():
+    a = np.zeros(5)
+    assert check_finite(a, "a") is a
+    assert check_finite([1, 2], "a").dtype == np.float64
+    with pytest.raises(DomainError, match="a must be finite, got nan at index 3"):
+        check_finite([0.0, 1.0, 2.0, np.nan, np.inf], "a")
+    with pytest.raises(DomainError, match=r"a must be finite, got -inf at index \(1, 0\)"):
+        check_finite([[0.0, 1.0], [-np.inf, np.nan]], "a")
+
+
+def _wave(n=50):
+    return Waveform(np.sin(np.arange(n)), 25.0)
+
+
+# Every public real-valued parameter that errors.check_real guards, as
+# (site, the parameter's name in the error, a call taking the value,
+# values accepted at or next to the boundary, values refused there)
+_REAL_SITES = [
+    ("gen_pulse fs", "fs", lambda v: gen_pulse(v, 72.0, 30.0), [1.0], [0.0]),
+    ("gen_pulse rate", "rate_bpm", lambda v: gen_pulse(25.0, v, 30.0), [30.0, 220.0], [29.99, 220.01]),
+    ("gen_resp rate", "rate_bpm", lambda v: gen_resp(25.0, v, 30.0), [4.0, 40.0], [3.99, 40.01]),
+    ("gen_pulse duration", "duration_s", lambda v: gen_pulse(25.0, 72.0, v), [1.0], [0.999]),
+    ("gen_pulse noise", "noise_sigma", lambda v: gen_pulse(25.0, 72.0, 30.0, noise_sigma=v), [0.0], [-1e-300]),
+    ("gen_clip fs", "fs", lambda v: gen_clip(4, 9, 1, fs=v), [0.1], [0.0]),
+    ("gen_clip noise", "noise_sigma", lambda v: gen_clip(4, 9, 1, noise_sigma=v), [0.0], [-1e-300]),
+    ("PlantSpec noise", "noise_sigma", lambda v: PlantSpec((50, 1, 1, 1), ((0, 0, 0),), _wave(), v),
+     [0.0], [-1e-300]),
+    ("Waveform fs", "fs", lambda v: Waveform([1.0], v), [5e-324], [0.0]),
+    ("instance_norm epsilon", "epsilon", lambda v: instance_norm(VoxelEmbedding(np.ones((2, 1, 2, 2))), v),
+     [5e-324], [0.0]),
+    ("RateBand lo", "lo_hz", lambda v: RateBand(v, 1.0), [5e-324], [0.0]),
+    ("RateBand hi", "hi_hz", lambda v: RateBand(0.6, v), [np.nextafter(0.6, 1.0)], [0.6]),
+    ("concat_windows cap_s", "cap_s", lambda v: concat_windows([_wave()], v), [0.04], [0.0]),
+    ("macc max_lag_s", "max_lag_s", lambda v: macc(_wave(), _wave(), v), [0.0], [-1e-300]),
+    ("split_windows window_s", "window_s", lambda v: split_windows(_wave(), v, min_s=0.0), [0.04], [0.039]),
+    ("fd_gradient_check step", "step", lambda v: fd_gradient_check("smooth_l1", ([0.0, 3.0], [1.0, 0.0]), v),
+     [1e-5], [0.0]),
+    ("grbf_basis sigma", "sigma", lambda v: grbf_basis(8, v, 1), [1e-150], [0.0, 1e-170, 1e200]),
+    ("AttentionConfig grbf_sigma", "grbf_sigma", lambda v: AttentionConfig("grbf", grbf_sigma=v, grbf_delta_t=1),
+     [1e-150], [0.0, 1e-170]),
+    ("target_basis floor", "floor", lambda v: target_basis([0.0, 1.0], 2, v),
+     [5e-324, np.nextafter(1.0, 0.0)], [0.0, 1.0]),
+    ("RunConfig window_s", "window_s", lambda v: replace(load_run_config(), window_s=v), [5e-324], [0.0]),
+    ("RunConfig max_lag_s", "max_lag_s", lambda v: replace(load_run_config(), max_lag_s=v), [0.0], [-1e-300]),
+]
+_SITE_IDS = [site for site, *_ in _REAL_SITES]
+
+
+@pytest.mark.parametrize("site, name, call, accepted, refused", _REAL_SITES, ids=_SITE_IDS)
+def test_each_real_site_keeps_its_boundaries_and_refuses_non_reals(site, name, call, accepted, refused):
+    for value in accepted:
+        call(value)
+    for value in refused + [np.nan, np.inf, -np.inf, True, "1"]:
+        with pytest.raises(DomainError, match=name):
+            call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: instance_norm(VoxelEmbedding(np.ones((2, 1, 2, 2))), np.inf),
+    lambda: macc(_wave(), _wave(), np.inf),
+    lambda: RateBand(0.6, np.inf),
+    lambda: gen_pulse("25", 72.0, 30.0),
+    lambda: Waveform([1.0], True),
+    lambda: compute_attention(VoxelEmbedding(np.ones((6, 2, 2, 2))),
+                              AttentionConfig(rank=1, post_mix=np.full((2, 2), np.nan))),
+], ids=["instance-norm-epsilon-inf", "macc-max-lag-inf", "band-edge-inf", "gen-pulse-str-fs", "waveform-bool-fs",
+        "post-mix-nan"])
+def test_values_accepted_before_the_shared_checks_are_refused(call):
+    # epsilon = inf gave all zeros, the infinite lag and band edge were
+    # taken, a str fs raised a bare TypeError, fs = True was 1 Hz and a
+    # NaN post-mix made every attended and excited entry NaN
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("ini, name", [
+    ("[metrics]\nmax_lag_s = inf\n", "max_lag_s"),
+    ("[metrics]\nhr_hi_hz = inf\n", "hi_hz"),
+], ids=["max-lag-s-inf", "hr-hi-hz-inf"])
+def test_config_check_refuses_an_infinite_metrics_value(tmp_path, capsys, ini, name):
+    # both passed config --check, which exited 0
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    assert main(["config", "--check", str(path)]) == 1
+    assert name in capsys.readouterr().err

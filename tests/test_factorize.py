@@ -193,11 +193,11 @@ def test_fractional_sizes_are_refused(build):
 
 
 def test_target_basis_example():
-    tc = target_basis([-1.0, 0.0, 1.0], 3, floor=1e-3)
-    assert tc.basis.shape == (3, 1)
-    assert np.allclose(tc.basis[:, 0], [0.001, 0.5005, 1.0], atol=1e-12)
-    assert tc.basis.min() == pytest.approx(1e-3)
-    assert tc.basis.max() == 1.0
+    basis = target_basis([-1.0, 0.0, 1.0], 3, floor=1e-3)
+    assert basis.shape == (3, 1)
+    assert np.allclose(basis[:, 0], [0.001, 0.5005, 1.0], atol=1e-12)
+    assert basis.min() == pytest.approx(1e-3)
+    assert basis.max() == 1.0
 
 
 def test_target_basis_preconditions():
@@ -318,7 +318,7 @@ def constrained_problems(draw, scales=(1e-3, 1.0, 1e3)):
     elif kind == "target" and m >= 2:
         y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(m)
         assume(y.max() > y.min())
-        b = target_basis(y, m).basis
+        b = target_basis(y, m)
     else:
         b = _nonneg(draw, (m, draw(st.integers(1, m))), scales)
     return a, b, draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
@@ -493,7 +493,7 @@ def tall_bases(draw, min_rows=2):
         sigma = draw(st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e))
         return _grbf_basis_dense(m, sigma, draw(st.integers(1, max(1, m // 4))), cut=False)
     if kind == "target":
-        return target_basis(rng.random(m), m).basis
+        return target_basis(rng.random(m), m)
     b = rng.random((m, draw(st.integers(1, 24))))
     b[rng.random(b.shape) < draw(st.sampled_from((0.0, 0.5)))] = 0.0
     for _ in range(draw(st.integers(1, 3))):
