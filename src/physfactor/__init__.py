@@ -29,11 +29,9 @@ from .metrics import (
 )
 from .network import (
     ModelConfig,
-    bvp_branch_forward,
     conv3d_forward,
     forward_multitask,
     param_count,
-    rsp_branch_forward,
 )
 from .synth import PlantSpec, gen_clip, gen_planted_embedding, gen_pulse, gen_resp
 from .tensors import (

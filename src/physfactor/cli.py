@@ -37,35 +37,13 @@ def _write_text(path, text):
 
 
 def read_signal_csv(path):
-    """One value per line, or time,value pairs; a single leading header
-    line is tolerated. Malformed rows and non-finite values (nan, inf)
-    raise with their line number."""
-    values = []
-    first = True
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [tok.strip() for tok in line.split(",")]
-            if len(tokens) > 2:
-                raise InputFormatError(f"{path}: line {lineno}: expected 1 or 2 columns, got {len(tokens)}")
-            try:
-                value = float(tokens[-1])
-            except ValueError:
-                if first:
-                    first = False
-                    continue
-                raise InputFormatError(
-                    f"{path}: line {lineno}: not a number: {tokens[-1]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise InputFormatError(f"{path}: line {lineno}: not a finite number: {tokens[-1]!r}")
-            values.append(value)
-            first = False
-    if not values:
-        raise InputFormatError(f"{path}: no samples found")
-    return np.asarray(values)
+    """One value per line, or time,value pairs, every row alike; a single
+    leading header line is tolerated. Returns the last column; rows are
+    read and refused as in read_matrix_csv."""
+    rows = read_matrix_csv(path, header=True)
+    if rows.shape[1] > 2:
+        raise InputFormatError(f"{path}: expected 1 or 2 columns, got {rows.shape[1]}")
+    return rows[:, -1].copy()
 
 
 def write_signal_csv(path, wave, with_time=False):
@@ -78,9 +56,11 @@ def write_signal_csv(path, wave, with_time=False):
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_matrix_csv(path):
+def read_matrix_csv(path, header=False):
+    """Comma-separated rows of finite numbers, all of one width; with
+    header, a first line that does not parse is skipped. A bad row raises
+    with its line number."""
     rows = []
-    width = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -90,19 +70,20 @@ def read_matrix_csv(path):
             try:
                 row = [float(tok) for tok in tokens]
             except ValueError:
+                if header and not rows:
+                    header = False
+                    continue
                 raise InputFormatError(f"{path}: line {lineno}: non-numeric entry") from None
             bad = [tok.strip() for tok, x in zip(tokens, row) if not math.isfinite(x)]
             if bad:
                 raise InputFormatError(f"{path}: line {lineno}: not a finite number: {bad[0]!r}")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if rows and len(row) != len(rows[0]):
                 raise InputFormatError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
+                    f"{path}: line {lineno}: expected {len(rows[0])} columns, got {len(row)}"
                 )
             rows.append(row)
     if not rows:
-        raise InputFormatError(f"{path}: empty matrix")
+        raise InputFormatError(f"{path}: no data rows")
     return np.asarray(rows)
 
 

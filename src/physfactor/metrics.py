@@ -173,6 +173,7 @@ def snr(pred, ref_rate, band):
     harmonic counts as signal; the rest of the in-band power is noise.
     Clipped to [-20, 40] dB, unpadded spectrum (see module docstring).
     """
+    check_real(ref_rate, "ref_rate (per minute)")
     f0 = ref_rate / 60.0
     if not band.lo_hz <= f0 <= band.hi_hz:
         raise DomainError(
@@ -397,14 +398,14 @@ def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
 
 
 def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACTOR,
-                     max_lag_s=None, corr="auto", band=None):
+                     max_lag_s=None, band=None):
     """Full windowed evaluation of a prediction against ground truth.
 
     Both signals are truncated to their common length and cut into
     non-overlapping windows. Per window: FFT rates for both signals, SNR
     of the prediction against the ground-truth rate, MACC between the
-    raw traces. Rates feed error_metrics; SNR and MACC are averaged with
-    their standard errors. band defaults to band_for(kind).
+    raw traces. Rates feed error_metrics (corr="auto"); SNR and MACC are
+    averaged with their standard errors. band defaults to band_for(kind).
     """
     if pred.fs != gt.fs:
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
@@ -422,5 +423,5 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
         snrs.append(snr(wp, rg, band))
         maccs.append(macc(wp, wg, max_lag_s))
 
-    return replace(error_metrics(rates_p, rates_g, corr=corr),
+    return replace(error_metrics(rates_p, rates_g, corr="auto"),
                    snr=MetricValue(*_avg_se(snrs)), macc=MetricValue(*_avg_se(maccs)))

@@ -18,12 +18,14 @@ temporal window is a strided view over consecutive frames of that
 buffer, so one batched matmul per chunk of output frames needs no
 temporal copy. The per-tap loop it replaced is the oracle in the tests.
 
-Weights are initialized from a seeded generator; there is no training
-here, determinism is all that matters.
+Weights are drawn once per `ModelConfig` from a seeded generator; there
+is no training here, determinism is all that matters.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -97,12 +99,12 @@ class ModelConfig:
         upsample undoes: the product of the rsp temporal strides."""
         return math.prod(self.rsp_temporal_strides)
 
-    def branch_in_channels(self, branch):
-        # with a 4-channel (RGB + thermal) input the pulse branch reads
-        # the RGB part and the respiration branch the thermal part
-        if self.input_channels == 4:
-            return 3 if branch == "bvp" else 1
-        return self.input_channels
+    @cached_property
+    def weights(self):
+        """The built model, drawn on first access and then kept: a read-only
+        mapping from "bvp" and "rsp" to that branch's blocks and head, as
+        _init_branch returns them."""
+        return MappingProxyType({branch: _init_branch(self, branch) for branch in ("bvp", "rsp")})
 
 
 # Output columns (frames x output pixels) per batched matmul. A chunk
@@ -194,32 +196,36 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
 
 def _init_branch(cfg, branch):
     """Seeded uniform weights in [-k, k], k = 1/sqrt(fan_in), one
-    independent stream per branch so the branches do not entangle.
-    Returns (weights, bias, temporal stride) per block and the head."""
+    independent stream per branch so the branches do not entangle; a
+    4-channel input gives the pulse branch its RGB part and the
+    respiration branch its thermal part. Returns the blocks, a tuple of
+    read-only (weights, bias, temporal stride), and the read-only head."""
     if branch == "bvp":
         blocks = [(c, 1) for c in cfg.bvp_channels]
+        in_c = 3 if cfg.input_channels == 4 else cfg.input_channels
     else:
         blocks = list(zip(cfg.rsp_channels, cfg.rsp_temporal_strides))
+        in_c = 1 if cfg.input_channels == 4 else cfg.input_channels
     kt, ks = cfg.temporal_kernel, cfg.spatial_kernel
     rng = np.random.default_rng([cfg.seed, 0 if branch == "bvp" else 1])
-    in_c = cfg.branch_in_channels(branch)
     layers = []
     for out_c, stride in blocks:
         k = 1.0 / np.sqrt(in_c * kt * ks ** 2)
         w = rng.uniform(-k, k, size=(out_c, in_c, kt, ks, ks))
         b = rng.uniform(-k, k, size=out_c)
+        w.flags.writeable = b.flags.writeable = False
         layers.append((w, b, stride))
         in_c = out_c
     k = 1.0 / np.sqrt(in_c)
     head_w = rng.uniform(-k, k, size=in_c)
+    head_w.flags.writeable = False
     head_b = float(rng.uniform(-k, k))
-    return layers, head_w, head_b
+    return tuple(layers), head_w, head_b
 
 
 def param_count(cfg):
     total = 0
-    for branch in ("bvp", "rsp"):
-        layers, head_w, _ = _init_branch(cfg, branch)
+    for layers, head_w, _ in cfg.weights.values():
         total += sum(w.size + b.size for w, b, _ in layers)
         total += head_w.size + 1
     return total
@@ -239,7 +245,8 @@ def _branch_forward(clip, cfg, branch, target, fs):
         raise DomainError(
             f"clip resolution {clip.height} does not match config {cfg.input_resolution}"
         )
-    expected = cfg.branch_in_channels(branch)
+    layers, head_w, head_b = cfg.weights[branch]
+    expected = layers[0][0].shape[1]
     if clip.channels != expected:
         raise DomainError(
             f"{branch} branch expects {expected} channels, clip has {clip.channels}"
@@ -251,7 +258,6 @@ def _branch_forward(clip, cfg, branch, target, fs):
             f"downsampling factor {cfg.rsp_upsample_factor}"
         )
 
-    layers, head_w, head_b = _init_branch(cfg, branch)
     x = VoxelEmbedding(clip.data)
     pad = (cfg.temporal_kernel // 2, cfg.spatial_kernel // 2, cfg.spatial_kernel // 2)
     for i, (w, b, stride) in enumerate(layers):
@@ -271,18 +277,6 @@ def _branch_forward(clip, cfg, branch, target, fs):
     if branch == "rsp":
         samples = _resample_linear(samples, clip.frames)
     return Waveform(samples, fs)
-
-
-def bvp_branch_forward(clip, cfg, target=None, fs=25.0):
-    """Pulse branch: output length equals clip.frames for any frame count."""
-    return _branch_forward(clip, cfg, "bvp", target, fs)
-
-
-def rsp_branch_forward(clip, cfg, target=None, fs=25.0):
-    """Respiration branch: strided temporal downsampling inside, linear
-    upsample back to clip.frames at the end. Frame count must be
-    divisible by the stride product."""
-    return _branch_forward(clip, cfg, "rsp", target, fs)
 
 
 def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25.0):

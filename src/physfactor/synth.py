@@ -17,6 +17,7 @@ def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, h
     fs = check_real(fs, "sampling rate fs", gt=0)
     check_real(rate_bpm, "rate_bpm (per minute)", ge=lo, le=hi)
     check_real(duration_s, "duration_s", ge=1.0)
+    check_real(harmonic_ratio, "harmonic_ratio")
     check_real(noise_sigma, "noise_sigma", ge=0)
     n = int(round(fs * duration_s))
     t = np.arange(n) / fs

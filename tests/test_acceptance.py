@@ -30,7 +30,7 @@ from physfactor.metrics import (
     macc,
     snr,
 )
-from physfactor.network import ModelConfig, bvp_branch_forward, rsp_branch_forward
+from physfactor.network import ModelConfig, forward_multitask
 from physfactor.tensors import EmbeddingMatrix, Waveform
 
 
@@ -203,8 +203,7 @@ def test_temporal_full_conv(record):
         cfg = ModelConfig(input_resolution=res)
         for t in (60, 160, 180, 300):
             clip = synth.gen_clip(t, res, 3, seed=0)
-            bvp = bvp_branch_forward(clip, cfg)
-            rsp = rsp_branch_forward(clip, cfg)
+            bvp, rsp = forward_multitask(clip, None, cfg)
             if bvp.samples.size != t or rsp.samples.size != t:
                 ok = False
             checked.append((res, t))

@@ -125,6 +125,27 @@ def test_metrics_non_finite_csv_names_line(tmp_path, capsys, token):
         read_signal_csv(str(bad))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1.0\n0.04,2.0\n", "line 2: expected 1 columns, got 2"),      # a v row, then a t,v row
+    ("0.0,1.0\n0.04,2.0\n0.08\n", "line 3: expected 2 columns, got 1"),
+    ("0.0,1.0\nlate,2.0\n", "line 2: non-numeric entry"),          # only the last token was parsed
+    ("t,v,w\n0.0,1.0,2.0\n", "expected 1 or 2 columns, got 3"),
+], ids=["v-then-t-v", "t-v-then-v", "non-numeric-time", "three-columns"])
+def test_signal_csv_refuses_mixed_widths_and_a_non_numeric_time(tmp_path, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    with pytest.raises(InputFormatError, match=message):
+        read_signal_csv(str(bad))
+
+
+def test_signal_csv_header_then_time_value_rows(tmp_path):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("t,v\n\n0.0,1.5\n0.04,-2.0\n")
+    assert read_signal_csv(str(sig)).tolist() == [1.5, -2.0]
+    sig.write_text("value\n3.0\n")
+    assert read_signal_csv(str(sig)).tolist() == [3.0]
+
+
 def test_metrics_too_short_is_domain_error(tmp_path, capsys):
     short = tmp_path / "short.csv"
     write_signal_csv(str(short), synth.gen_pulse(25.0, 72.0, 4.0))

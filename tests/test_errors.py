@@ -12,7 +12,9 @@ from physfactor.config import load_run_config
 from physfactor.errors import DomainError, check_finite, check_int, check_real
 from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
 from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_loss
-from physfactor.metrics import HR_BAND, RateBand, concat_windows, error_metrics, estimate_rate_fft, macc, split_windows
+from physfactor.metrics import (
+    HR_BAND, RateBand, concat_windows, error_metrics, estimate_rate_fft, macc, snr, split_windows,
+)
 from physfactor.network import ModelConfig, conv3d_forward
 from physfactor.synth import PlantSpec, gen_clip, gen_pulse, gen_resp
 from physfactor.tensors import VoxelEmbedding, Waveform, instance_norm
@@ -155,6 +157,9 @@ _REAL_SITES = [
     ("gen_resp rate", "rate_bpm", lambda v: gen_resp(25.0, v, 30.0), [4.0, 40.0], [3.99, 40.01]),
     ("gen_pulse duration", "duration_s", lambda v: gen_pulse(25.0, 72.0, v), [1.0], [0.999]),
     ("gen_pulse noise", "noise_sigma", lambda v: gen_pulse(25.0, 72.0, 30.0, noise_sigma=v), [0.0], [-1e-300]),
+    # a negative ratio flips the harmonic's phase, so no bound
+    ("gen_pulse harmonic_ratio", "harmonic_ratio", lambda v: gen_pulse(25.0, 72.0, 30.0, harmonic_ratio=v),
+     [-1.0, 0.0], []),
     ("gen_clip fs", "fs", lambda v: gen_clip(4, 9, 1, fs=v), [0.1], [0.0]),
     ("gen_clip noise", "noise_sigma", lambda v: gen_clip(4, 9, 1, noise_sigma=v), [0.0], [-1e-300]),
     ("PlantSpec noise", "noise_sigma", lambda v: PlantSpec((50, 1, 1, 1), ((0, 0, 0),), _wave(), v),
@@ -166,6 +171,8 @@ _REAL_SITES = [
     ("RateBand hi", "hi_hz", lambda v: RateBand(0.6, v), [np.nextafter(0.6, 1.0)], [0.6]),
     ("concat_windows cap_s", "cap_s", lambda v: concat_windows([_wave()], v), [0.04], [0.0]),
     ("macc max_lag_s", "max_lag_s", lambda v: macc(_wave(), _wave(), v), [0.0], [-1e-300]),
+    # rates outside the band are refused as the mask oracle in test_metrics.py refuses them
+    ("snr ref_rate", "ref_rate", lambda v: snr(_wave(), v, HR_BAND), [36.0, 198.0], []),
     ("split_windows window_s", "window_s", lambda v: split_windows(_wave(), v, min_s=0.0), [0.04], [0.039]),
     ("fd_gradient_check step", "step", lambda v: fd_gradient_check("smooth_l1", ([0.0, 3.0], [1.0, 0.0]), v),
      [1e-5], [0.0]),

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,14 +7,13 @@ from hypothesis import strategies as st
 
 from physfactor import network
 from physfactor.attention import AttentionConfig
+from physfactor.config import load_run_config
 from physfactor.errors import DomainError
 from physfactor.network import (
     ModelConfig,
-    bvp_branch_forward,
     conv3d_forward,
     forward_multitask,
     param_count,
-    rsp_branch_forward,
 )
 from physfactor.synth import gen_clip, gen_pulse
 from physfactor.tensors import VoxelEmbedding
@@ -278,27 +279,27 @@ def test_bvp_output_length_matches_frames():
     cfg = _small_cfg()
     for frames in (60, 90):
         clip = gen_clip(frames, 9, 3, seed=1)
-        wave = bvp_branch_forward(clip, cfg)
+        wave = network._branch_forward(clip, cfg, "bvp", None, 25.0)
         assert wave.samples.size == frames
 
 
 def test_rsp_output_length_and_divisibility():
     cfg = _small_cfg()
     clip = gen_clip(160, 9, 3, seed=1)
-    assert rsp_branch_forward(clip, cfg).samples.size == 160
+    assert network._branch_forward(clip, cfg, "rsp", None, 25.0).samples.size == 160
     # 180 = 4 * 45, so the stride product divides it
     clip = gen_clip(180, 9, 3, seed=1)
-    assert rsp_branch_forward(clip, cfg).samples.size == 180
+    assert network._branch_forward(clip, cfg, "rsp", None, 25.0).samples.size == 180
     with pytest.raises(DomainError):
-        rsp_branch_forward(gen_clip(162, 9, 3, seed=1), cfg)
+        network._branch_forward(gen_clip(162, 9, 3, seed=1), cfg, "rsp", None, 25.0)
 
 
 def test_branch_input_validation():
     cfg = _small_cfg()
     with pytest.raises(DomainError):
-        bvp_branch_forward(gen_clip(40, 36, 3, seed=0), cfg)     # wrong resolution
+        network._branch_forward(gen_clip(40, 36, 3, seed=0), cfg, "bvp", None, 25.0)     # wrong resolution
     with pytest.raises(DomainError):
-        bvp_branch_forward(gen_clip(40, 9, 1, seed=0), cfg)      # wrong channel count
+        network._branch_forward(gen_clip(40, 9, 1, seed=0), cfg, "bvp", None, 25.0)      # wrong channel count
 
 
 def test_model_config_invariants():
@@ -356,8 +357,8 @@ def test_forward_multitask_routing():
 def test_forward_deterministic():
     cfg = _small_cfg(seed=5)
     clip = gen_clip(60, 9, 3, seed=6)
-    a = bvp_branch_forward(clip, cfg)
-    b = bvp_branch_forward(clip, cfg)
+    a = network._branch_forward(clip, cfg, "bvp", None, 25.0)
+    b = network._branch_forward(clip, cfg, "bvp", None, 25.0)
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -368,8 +369,8 @@ def test_attention_toggle_consistency():
     plain = _small_cfg()
     zeroed = AttentionConfig(variant="fsam", rank=4, post_mix=np.zeros((12, 12)))
     with_zero_attention = _small_cfg(bvp_attention=zeroed)
-    a = bvp_branch_forward(clip, plain)
-    b = bvp_branch_forward(clip, with_zero_attention)
+    a = network._branch_forward(clip, plain, "bvp", None, 25.0)
+    b = network._branch_forward(clip, with_zero_attention, "bvp", None, 25.0)
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -378,17 +379,101 @@ def test_attention_inside_branches():
     cfg = _small_cfg(bvp_attention=att, rsp_attention=att, seed=2)
     clip = gen_clip(80, 9, 3, seed=9)
     target = gen_pulse(25.0, 72.0, 3.2).samples  # 80 samples
-    pulse = bvp_branch_forward(clip, cfg, target=target)
-    resp = rsp_branch_forward(clip, cfg, target=target)  # resampled to 20 inside
+    pulse, resp = forward_multitask(clip, None, cfg, target, target)  # rsp resamples it to 20 inside
     assert pulse.samples.size == 80
     assert resp.samples.size == 80
     with pytest.raises(DomainError):
-        bvp_branch_forward(clip, cfg, target=target[:-1])
+        network._branch_forward(clip, cfg, "bvp", target[:-1], 25.0)
     with pytest.raises(DomainError):
-        bvp_branch_forward(clip, cfg)  # tsfm without target
+        network._branch_forward(clip, cfg, "bvp", None, 25.0)  # tsfm without target
 
 
 def test_param_count_positive_and_stable():
     cfg = _small_cfg()
     assert param_count(cfg) == param_count(cfg)
     assert param_count(cfg) > 1000
+
+
+def _draw_oracle(cfg, branch):
+    """An independent copy of the per-branch draw: seeded uniform weights
+    in [-k, k], k = 1/sqrt(fan_in), blocks first, then the head."""
+    if branch == "bvp":
+        blocks = [(c, 1) for c in cfg.bvp_channels]
+    else:
+        blocks = list(zip(cfg.rsp_channels, cfg.rsp_temporal_strides))
+    kt, ks = cfg.temporal_kernel, cfg.spatial_kernel
+    rng = np.random.default_rng([cfg.seed, 0 if branch == "bvp" else 1])
+    in_c = cfg.input_channels
+    if in_c == 4:
+        in_c = 3 if branch == "bvp" else 1
+    layers = []
+    for out_c, stride in blocks:
+        k = 1.0 / np.sqrt(in_c * kt * ks ** 2)
+        w = rng.uniform(-k, k, size=(out_c, in_c, kt, ks, ks))
+        b = rng.uniform(-k, k, size=out_c)
+        layers.append((w, b, stride))
+        in_c = out_c
+    k = 1.0 / np.sqrt(in_c)
+    head_w = rng.uniform(-k, k, size=in_c)
+    head_b = float(rng.uniform(-k, k))
+    return layers, head_w, head_b
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (model, its parameter count): the default model, the 4-channel model at
+# 9 px of the forward-long9 benchmark, and every [model] key changed
+_MODELS = [
+    (ModelConfig(), 19538),
+    (ModelConfig(input_resolution=9, input_channels=4, seed=1), 19106),
+    (load_run_config(Path(__file__).parent / "data" / "nondefault.ini").model_config(), 1050),
+]
+
+
+@pytest.mark.parametrize("cfg, _count", _MODELS, ids=["default", "4-channel", "nondefault"])
+def test_weights_equal_the_draw_oracle_and_are_read_only(cfg, _count):
+    assert sorted(cfg.weights) == ["bvp", "rsp"]
+    for branch, (layers, head_w, head_b) in cfg.weights.items():
+        want_layers, want_head_w, want_head_b = _draw_oracle(cfg, branch)
+        assert len(layers) == len(want_layers)
+        for (w, b, stride), (want_w, want_b, want_stride) in zip(layers, want_layers):
+            assert _same_bits(w, want_w) and _same_bits(b, want_b) and stride == want_stride
+            assert not w.flags.writeable and not b.flags.writeable
+        assert _same_bits(head_w, want_head_w) and head_b == want_head_b
+        assert not head_w.flags.writeable
+    with pytest.raises(TypeError):
+        cfg.weights["bvp"] = cfg.weights["rsp"]
+    with pytest.raises(ValueError):
+        cfg.weights["bvp"][0][0][0][0] = 0.0
+
+
+@pytest.mark.parametrize("cfg, count", _MODELS, ids=["default", "4-channel", "nondefault"])
+def test_param_count_is_the_shape_formula(cfg, count):
+    kt, ks = cfg.temporal_kernel, cfg.spatial_kernel
+    split = cfg.input_channels == 4
+    total = 0
+    for channels, in_c in ((cfg.bvp_channels, 3 if split else cfg.input_channels),
+                           (cfg.rsp_channels, 1 if split else cfg.input_channels)):
+        for out_c in channels:
+            total += out_c * in_c * kt * ks * ks + out_c
+            in_c = out_c
+        total += in_c + 1
+    assert param_count(cfg) == total == count
+
+
+def test_weights_are_drawn_once_and_only_on_first_use(monkeypatch):
+    draws = []
+    draw = network._init_branch
+    monkeypatch.setattr(network, "_init_branch", lambda cfg, branch: draws.append(branch) or draw(cfg, branch))
+    load_run_config()
+    cfg = _small_cfg(seed=4)
+    assert draws == []
+    clip = gen_clip(40, 9, 3, seed=2)
+    first = forward_multitask(clip, None, cfg)
+    second = forward_multitask(clip, None, cfg)
+    param_count(cfg)
+    assert sorted(draws) == ["bvp", "rsp"]
+    for a, b in zip(first, second):
+        assert np.array_equal(a.samples, b.samples)
