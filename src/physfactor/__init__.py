@@ -20,7 +20,6 @@ from .metrics import (
     MetricsReport,
     MetricValue,
     RateBand,
-    concat_windows,
     error_metrics,
     estimate_rate_fft,
     evaluate_windows,

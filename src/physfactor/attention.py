@@ -1,9 +1,9 @@
 """Factorize-and-excite attention over voxel embeddings.
 
-Pipeline: mix channels and rectify so the embedding is non-negative,
-flatten to a (time x features) matrix, compute a low-rank approximation
-with one of three solvers, map it back to the embedding shape, mix and
-rectify again, then excite the original embedding with the result:
+Pipeline: rectify the embedding so it is non-negative, flatten to a
+(time x features) matrix, compute a low-rank approximation with one of
+three solvers, map it back to the embedding shape, rectify again, then
+excite the original embedding with the result:
 
     excited = eps + instance_norm(eps * attended)
 
@@ -47,19 +47,15 @@ VARIANTS = ("fsam", "grbf", "tsfm")
 class AttentionConfig:
     """Configuration of one attention module.
 
-    pre_mix and post_mix are kappa x kappa channel mixing matrices (the
-    1x1x1 convolution weights around the factorization); None means
-    identity, which isolates the factorization behavior. rank and
-    iterations are integers >= 1, seed an integer >= 0.
+    rank, iterations and grbf_delta_t are integers >= 1, seed an integer
+    >= 0 and grbf_sigma a finite positive real; only grbf reads grbf_*.
     """
 
     variant: str = "fsam"
     rank: int = 8
     iterations: int = 4
-    grbf_sigma: float | None = None
-    grbf_delta_t: int | None = None
-    pre_mix: np.ndarray | None = None
-    post_mix: np.ndarray | None = None
+    grbf_sigma: float = 2.0
+    grbf_delta_t: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -68,11 +64,7 @@ class AttentionConfig:
         check_int(self.rank, "attention rank", 1)
         check_int(self.iterations, "attention iterations", 1)
         check_int(self.seed, "attention seed", 0)
-        sigma, delta_t = self.grbf_sigma, self.grbf_delta_t
-        if self.variant == "grbf" and (sigma is None or delta_t is None):
-            raise DomainError("grbf variant needs grbf_sigma and grbf_delta_t")
-        # each checked where given, whatever the variant
-        _grbf_params(1.0 if sigma is None else sigma, 1 if delta_t is None else delta_t, "grbf_")
+        _grbf_params(self.grbf_sigma, self.grbf_delta_t, "grbf_")
 
 
 @dataclass(frozen=True)
@@ -82,26 +74,10 @@ class AttentionOutput:
     factorization: FactorizationResult
 
 
-def _mix_weights(w, kappa, name):
-    if w is None:
-        return None
-    w = check_finite(w, name)
-    if w.shape != (kappa, kappa):
-        raise DomainError(f"{name} must be {kappa}x{kappa}, got {w.shape}")
-    return w
-
-
-def channel_mix_relu(eps, weights=None):
-    """Per-voxel channel mixing followed by ReLU.
-
-    out[t, c', a, b] = max(0, sum_c weights[c', c] * eps[t, c, a, b]).
-    weights=None applies the identity mix (plain rectification).
-    """
-    w = _mix_weights(weights, eps.kappa, "mix weights")
-    x = eps.data
-    if w is not None:
-        x = np.einsum("dc,tcab->tdab", w, x)
-    return VoxelEmbedding(np.maximum(x, 0.0))
+def channel_mix_relu(eps):
+    """ReLU, out = max(0, eps): the 1x1x1 channel mixes that MMRPhys
+    learns around the factorization are the identity, as nothing is trained."""
+    return VoxelEmbedding(np.maximum(eps.data, 0.0))
 
 
 def excite(eps, attended):
@@ -146,10 +122,10 @@ def compute_attention(eps, cfg, target=None):
         AttentionOutput carrying the back-mapped low-rank attention, the
         excited embedding and the solver result (with its error trace).
     """
-    pre = channel_mix_relu(eps, cfg.pre_mix)
+    pre = channel_mix_relu(eps)
     res = solve(flatten_to_matrix(pre), cfg, target)
     back = unflatten_to_voxel(EmbeddingMatrix(res.low_rank), eps.shape)
-    attended = channel_mix_relu(back, cfg.post_mix)
+    attended = channel_mix_relu(back)
     return AttentionOutput(attended, excite(eps, attended), res)
 
 

@@ -148,7 +148,10 @@ def _build(values, seed_override=None):
     model = ModelConfig(input_resolution=model.pop("resolution"), input_channels=model.pop("channels"),
                         **model, bvp_attention=branch, rsp_attention=branch, seed=seed)
     for kind in ("hr", "rr"):
-        met[f"{kind}_band"] = RateBand(met.pop(f"{kind}_lo_hz"), met.pop(f"{kind}_hi_hz"))
+        lo, hi = met.pop(f"{kind}_lo_hz"), met.pop(f"{kind}_hi_hz")
+        # checked here as RateBand checks them, so an error names the INI key
+        check_real(hi, f"[metrics] {kind}_hi_hz", gt=check_real(lo, f"[metrics] {kind}_lo_hz", gt=0))
+        met[f"{kind}_band"] = RateBand(lo, hi)
     return RunConfig(attention, model, epsilon, **met, seed=seed)
 
 

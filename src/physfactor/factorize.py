@@ -68,6 +68,9 @@ _BLOCK_ROWS = 128
 _BUMP_CUT = 2.0 ** -104
 _BUMP_CUT_REACH = math.sqrt(208.0 * math.log(2.0))
 
+# Lowest entry of a target_basis column, so no row of the tsfm basis is 0.
+TARGET_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class FactorPair:
@@ -409,23 +412,22 @@ def grbf_basis(m, sigma, delta_t):
     return GrbfBasis(m, sigma, delta_t)
 
 
-def target_basis(y, m, floor=1e-3):
+def target_basis(y, m):
     """Turn a target signal into a single non-negative constraint column,
     the read-only (m, 1) basis of the tsfm solve.
 
-    The signal is min-max normalized onto [floor, 1], with floor in (0, 1):
-        basis = floor + (1 - floor) * (y - min y) / (max y - min y)
+    The signal is min-max normalized onto [TARGET_FLOOR, 1]:
+        basis = TARGET_FLOOR + (1 - TARGET_FLOOR) * (y - min y) / (max y - min y)
     A constant signal is rejected, it would make the constrained
     factorization degenerate, and so is a non-finite one.
     """
     y = check_finite(y.samples if isinstance(y, Waveform) else y, "target signal").ravel()
     if y.size != check_int(m, "target_basis m"):
         raise DomainError(f"target length {y.size} does not match m = {m}")
-    check_real(floor, "target_basis floor", gt=0, lt=1)
     lo, hi = y.min(), y.max()
     if hi == lo:
         raise DomainError("target signal is constant, cannot build a constraint")
-    col = floor + (1.0 - floor) * (y - lo) / (hi - lo)
+    col = TARGET_FLOOR + (1.0 - TARGET_FLOOR) * (y - lo) / (hi - lo)
     col = col[:, None]
     col.flags.writeable = False
     return col

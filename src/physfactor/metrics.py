@@ -102,21 +102,6 @@ class MetricsReport:
         return out
 
 
-def concat_windows(segments, cap_s=WINDOW_S):
-    """Concatenate same-rate segments, truncated to the lesser of cap_s
-    seconds (positive and finite) or the total length."""
-    if not segments:
-        raise DomainError("concat_windows needs at least one segment")
-    check_real(cap_s, "cap_s", gt=0)
-    fs = segments[0].fs
-    for seg in segments:
-        if seg.fs != fs:
-            raise DomainError(f"mixed sampling rates: {seg.fs} vs {fs}")
-    joined = np.concatenate([seg.samples for seg in segments])
-    cap = int(round(cap_s * fs))
-    return Waveform(joined[: min(cap, joined.size)], fs)
-
-
 def _next_pow2(n):
     return 1 << (int(n) - 1).bit_length()
 
@@ -322,21 +307,19 @@ def _avg_se(terms):
     return float(terms.mean()), se
 
 
-def error_metrics(preds, gts, corr="strict"):
+def error_metrics(preds, gts):
     """MAE/RMSE/MAPE/Corr over paired per-window rates.
 
     Each metric's standard error is the sample standard deviation of its
     per-item terms over sqrt(n); Corr's uses the Fisher-z delta method,
     (1 - r^2)/sqrt(n - 3), infinite at n = 3.
 
+    Corr is undefined for n < 3 or a constant series: it is then left
+    out when the two series are element-wise identical (a perfect but
+    degenerate prediction, e.g. a file scored against itself), else raises.
+
     Args:
         preds, gts: equal-length non-empty lists of finite rates.
-        corr: "strict" raises when Corr is undefined (n < 3 or a
-            constant series); "skip" leaves it out of the report;
-            "auto" behaves like strict except when the two series are
-            element-wise identical (a perfect but degenerate
-            prediction, e.g. the same file evaluated against itself),
-            which skips Corr instead of failing.
 
     Returns:
         MetricsReport with the four error metrics filled in.
@@ -357,15 +340,9 @@ def error_metrics(preds, gts, corr="strict"):
     mape_avg, mape_se = _avg_se(100.0 * np.abs(d / g))
 
     corr_value = None
-    if corr not in ("strict", "skip", "auto"):
-        raise DomainError(f"corr must be 'strict', 'skip' or 'auto', got {corr!r}")
     defined = n >= 3 and p.std() > 0 and g.std() > 0
-    if not defined and corr != "skip":
-        degenerate_perfect = np.array_equal(p, g)
-        if not (corr == "auto" and degenerate_perfect):
-            raise DomainError(
-                "Corr undefined: needs at least 3 pairs and non-constant series"
-            )
+    if not defined and not np.array_equal(p, g):
+        raise DomainError("Corr undefined: needs at least 3 pairs and non-constant series")
     if defined:
         r = _pearson(p, g)
         r_se = (1.0 - r * r) / np.sqrt(n - 3) if n > 3 else float("inf")
@@ -404,7 +381,7 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
     Both signals are truncated to their common length and cut into
     non-overlapping windows. Per window: FFT rates for both signals, SNR
     of the prediction against the ground-truth rate, MACC between the
-    raw traces. Rates feed error_metrics (corr="auto"); SNR and MACC are
+    raw traces. Rates feed error_metrics; SNR and MACC are
     averaged with their standard errors. band defaults to band_for(kind).
     """
     if pred.fs != gt.fs:
@@ -423,5 +400,5 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
         snrs.append(snr(wp, rg, band))
         maccs.append(macc(wp, wg, max_lag_s))
 
-    return replace(error_metrics(rates_p, rates_g, corr="auto"),
+    return replace(error_metrics(rates_p, rates_g),
                    snr=MetricValue(*_avg_se(snrs)), macc=MetricValue(*_avg_se(maccs)))

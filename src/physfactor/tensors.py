@@ -48,14 +48,6 @@ class VoxelEmbedding:
         return self.data.shape[1]
 
     @property
-    def alpha(self):
-        return self.data.shape[2]
-
-    @property
-    def beta(self):
-        return self.data.shape[3]
-
-    @property
     def shape(self):
         return self.data.shape
 
@@ -113,10 +105,6 @@ class VideoClip:
     @property
     def height(self):
         return self.data.shape[2]
-
-    @property
-    def width(self):
-        return self.data.shape[3]
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,11 @@ def test_channel_mix_identity_and_relu():
     assert np.array_equal(channel_mix_relu(pos).data, pos.data)
 
     mixed_sign = _rand_eps((6, 3, 2, 2), seed=2)
-    out = channel_mix_relu(mixed_sign, np.eye(3))
+    out = channel_mix_relu(mixed_sign)
     assert np.array_equal(out.data, np.maximum(mixed_sign.data, 0.0))
 
-    negated = channel_mix_relu(pos, -np.eye(3))
+    negated = channel_mix_relu(VoxelEmbedding(-pos.data))
     assert np.array_equal(negated.data, np.zeros_like(pos.data))
-
-
-def test_channel_mix_weight_shape():
-    with pytest.raises(DomainError):
-        channel_mix_relu(_rand_eps((4, 3, 2, 2)), np.eye(2))
 
 
 def test_compute_attention_shapes_all_variants():
@@ -53,6 +48,15 @@ def test_compute_attention_shapes_all_variants():
     out = compute_attention(eps, AttentionConfig(variant="grbf", grbf_sigma=2.0, grbf_delta_t=4))
     assert out.excited.shape == (20, 4, 3, 3)
     assert len(out.factorization.error_trace) == 4
+
+
+def test_grbf_defaults_are_the_ini_defaults():
+    eps = _rand_eps((20, 4, 3, 3), seed=3)
+    got = compute_attention(eps, AttentionConfig("grbf"))
+    want = compute_attention(eps, AttentionConfig("grbf", grbf_sigma=2.0, grbf_delta_t=4))
+    assert np.array_equal(got.attended.data, want.attended.data)
+    assert np.array_equal(got.excited.data, want.excited.data)
+    assert np.array_equal(got.factorization.error_trace, want.factorization.error_trace)
 
 
 def test_solve_dispatches_each_variant():
@@ -89,8 +93,6 @@ def test_config_validation():
         AttentionConfig(variant="mystery")
     with pytest.raises(DomainError):
         AttentionConfig(iterations=0)
-    with pytest.raises(DomainError):
-        AttentionConfig(variant="grbf")  # sigma and delta_t missing
 
 
 @pytest.mark.parametrize("kwargs, key", [
@@ -108,9 +110,8 @@ def test_config_validation():
 def test_config_checks_rank_and_grbf_parameters_where_given(kwargs, key, variant):
     # refused here rather than by the solver or grbf_basis, whatever the
     # variant, so that a run config fails at load time
-    base = {"grbf_sigma": 2.0, "grbf_delta_t": 4} if variant == "grbf" else {}
     with pytest.raises(DomainError, match=key):
-        AttentionConfig(variant=variant, **{**base, **kwargs})
+        AttentionConfig(variant=variant, **kwargs)
 
 
 def test_excite_passthrough_and_identity():
@@ -214,13 +215,3 @@ def test_attention_deterministic():
     b = compute_attention(eps, cfg)
     assert np.array_equal(a.attended.data, b.attended.data)
     assert np.array_equal(a.excited.data, b.excited.data)
-
-
-def test_custom_mixing_weights():
-    rng = np.random.default_rng(15)
-    eps = _rand_eps((12, 3, 2, 2), seed=15, shift=0.5)
-    pre = rng.normal(size=(3, 3))
-    post = rng.normal(size=(3, 3))
-    out = compute_attention(eps, AttentionConfig(variant="fsam", pre_mix=pre, post_mix=post))
-    assert out.attended.shape == eps.shape
-    assert out.attended.data.min() >= 0.0

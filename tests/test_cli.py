@@ -440,6 +440,19 @@ def test_config_check_rejects_out_of_domain_values(tmp_path, capsys, ini):
     assert key in err
 
 
+@pytest.mark.parametrize("ini, message", [
+    ("[metrics]\nrr_lo_hz = 0.6\n", "[metrics] rr_hi_hz must be > 0.6, got 0.5"),
+    ("[metrics]\nhr_hi_hz = inf\n", "[metrics] hr_hi_hz must be finite, got inf"),
+    ("[metrics]\nhr_lo_hz = 0\n", "[metrics] hr_lo_hz must be > 0, got 0.0"),
+], ids=["rr-lo-above-hi", "hr-hi-inf", "hr-lo-0"])
+def test_config_check_names_the_band_key(tmp_path, capsys, ini, message):
+    # these named RateBand's fields ("band hi_hz"), not the INI keys
+    path = tmp_path / "band.ini"
+    path.write_text(ini)
+    assert main(["config", "--check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_config_requires_an_action(capsys):
     assert main(["config"]) == 2
     capsys.readouterr()

@@ -117,7 +117,7 @@ def test_seed_override_must_be_an_integer(seed):
 
 def test_library_defaults_match_the_ini_defaults():
     cfg = load_run_config()
-    att = AttentionConfig(grbf_sigma=2.0, grbf_delta_t=4)
+    att = AttentionConfig()
     assert cfg.model_config() == ModelConfig(bvp_attention=att, rsp_attention=att)
     assert cfg.window_s == WINDOW_S and cfg.pad_factor == PAD_FACTOR
     assert cfg.hr_band == HR_BAND and cfg.rr_band == RR_BAND

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physfactor.attention import AttentionConfig, channel_mix_relu, compute_attention, csim_map
+from physfactor.attention import AttentionConfig, csim_map
 from physfactor.cli import main
 from physfactor.config import load_run_config
 from physfactor.errors import DomainError, check_finite, check_int, check_real
 from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
 from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_loss
 from physfactor.metrics import (
-    HR_BAND, RateBand, concat_windows, error_metrics, estimate_rate_fft, macc, snr, split_windows,
+    HR_BAND, RateBand, error_metrics, estimate_rate_fft, macc, snr, split_windows,
 )
 from physfactor.network import ModelConfig, conv3d_forward
 from physfactor.synth import PlantSpec, gen_clip, gen_pulse, gen_resp
@@ -76,11 +76,10 @@ def test_a_bool_is_no_integer_anywhere(build):
 
 
 _TAKES_A_VECTOR = {
-    "error_metrics preds": lambda bad, ok: error_metrics(bad, ok, corr="skip"),
-    "error_metrics gts": lambda bad, ok: error_metrics(ok, bad, corr="skip"),
+    "error_metrics preds": lambda bad, ok: error_metrics(bad, ok),
+    "error_metrics gts": lambda bad, ok: error_metrics(ok, bad),
     "target_basis": lambda bad, ok: target_basis(bad, bad.size),
     "Waveform samples": lambda bad, ok: Waveform(bad, 25.0),
-    "mix weights": lambda bad, ok: channel_mix_relu(VoxelEmbedding(np.ones((2, bad.size, 1, 1))), np.diag(bad)),
     "csim_map target": lambda bad, ok: csim_map(VoxelEmbedding(np.ones((bad.size, 1, 2, 2))), bad),
     "conv weights": lambda bad, ok: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), bad.reshape(-1, 1, 1, 1, 1)),
     "conv bias": lambda bad, ok: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), np.ones((bad.size, 1, 1, 1, 1)),
@@ -169,7 +168,6 @@ _REAL_SITES = [
      [5e-324], [0.0]),
     ("RateBand lo", "lo_hz", lambda v: RateBand(v, 1.0), [5e-324], [0.0]),
     ("RateBand hi", "hi_hz", lambda v: RateBand(0.6, v), [np.nextafter(0.6, 1.0)], [0.6]),
-    ("concat_windows cap_s", "cap_s", lambda v: concat_windows([_wave()], v), [0.04], [0.0]),
     ("macc max_lag_s", "max_lag_s", lambda v: macc(_wave(), _wave(), v), [0.0], [-1e-300]),
     # rates outside the band are refused as the mask oracle in test_metrics.py refuses them
     ("snr ref_rate", "ref_rate", lambda v: snr(_wave(), v, HR_BAND), [36.0, 198.0], []),
@@ -179,8 +177,6 @@ _REAL_SITES = [
     ("grbf_basis sigma", "sigma", lambda v: grbf_basis(8, v, 1), [1e-150], [0.0, 1e-170, 1e200]),
     ("AttentionConfig grbf_sigma", "grbf_sigma", lambda v: AttentionConfig("grbf", grbf_sigma=v, grbf_delta_t=1),
      [1e-150], [0.0, 1e-170]),
-    ("target_basis floor", "floor", lambda v: target_basis([0.0, 1.0], 2, v),
-     [5e-324, np.nextafter(1.0, 0.0)], [0.0, 1.0]),
     ("RunConfig window_s", "window_s", lambda v: replace(load_run_config(), window_s=v), [5e-324], [0.0]),
     ("RunConfig max_lag_s", "max_lag_s", lambda v: replace(load_run_config(), max_lag_s=v), [0.0], [-1e-300]),
 ]
@@ -202,14 +198,10 @@ def test_each_real_site_keeps_its_boundaries_and_refuses_non_reals(site, name, c
     lambda: RateBand(0.6, np.inf),
     lambda: gen_pulse("25", 72.0, 30.0),
     lambda: Waveform([1.0], True),
-    lambda: compute_attention(VoxelEmbedding(np.ones((6, 2, 2, 2))),
-                              AttentionConfig(rank=1, post_mix=np.full((2, 2), np.nan))),
-], ids=["instance-norm-epsilon-inf", "macc-max-lag-inf", "band-edge-inf", "gen-pulse-str-fs", "waveform-bool-fs",
-        "post-mix-nan"])
+], ids=["instance-norm-epsilon-inf", "macc-max-lag-inf", "band-edge-inf", "gen-pulse-str-fs", "waveform-bool-fs"])
 def test_values_accepted_before_the_shared_checks_are_refused(call):
     # epsilon = inf gave all zeros, the infinite lag and band edge were
-    # taken, a str fs raised a bare TypeError, fs = True was 1 Hz and a
-    # NaN post-mix made every attended and excited entry NaN
+    # taken, a str fs raised a bare TypeError and fs = True was 1 Hz
     with pytest.raises(DomainError):
         call()
 

@@ -193,7 +193,7 @@ def test_fractional_sizes_are_refused(build):
 
 
 def test_target_basis_example():
-    basis = target_basis([-1.0, 0.0, 1.0], 3, floor=1e-3)
+    basis = target_basis([-1.0, 0.0, 1.0], 3)
     assert basis.shape == (3, 1)
     assert np.allclose(basis[:, 0], [0.001, 0.5005, 1.0], atol=1e-12)
     assert basis.min() == pytest.approx(1e-3)
@@ -205,8 +205,6 @@ def test_target_basis_preconditions():
         target_basis([2.0, 2.0, 2.0], 3)
     with pytest.raises(DomainError):
         target_basis(np.arange(10.0), 20)
-    with pytest.raises(DomainError):
-        target_basis([0.0, 1.0], 2, floor=1.5)
 
 
 def test_solvers_reject_non_finite_input():

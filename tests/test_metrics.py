@@ -14,7 +14,6 @@ from physfactor.metrics import (
     _avg_se,
     _pearson,
     band_for,
-    concat_windows,
     error_metrics,
     estimate_rate_fft,
     evaluate_windows,
@@ -33,28 +32,6 @@ def test_rate_band_validation():
         RateBand(0.5, 0.2)
     with pytest.raises(DomainError):
         band_for("xx")
-
-
-def test_concat_windows_truncation():
-    segs = [Waveform(np.arange(180.0) + i, 25.0) for i in range(6)]
-    joined = concat_windows(segs)
-    assert joined.samples.size == 750           # capped at 30 s
-    assert np.array_equal(joined.samples[:180], segs[0].samples)
-
-    short = concat_windows([Waveform(np.zeros(400), 25.0)])
-    assert short.samples.size == 400            # under the cap
-
-    with pytest.raises(DomainError):
-        concat_windows([Waveform(np.zeros(10), 25.0), Waveform(np.zeros(10), 30.0)])
-    with pytest.raises(DomainError):
-        concat_windows([])
-
-
-@pytest.mark.parametrize("cap_s", [-1.0, 0.0, np.nan, np.inf])
-def test_concat_windows_refuses_a_cap_that_is_not_positive_and_finite(cap_s):
-    # -1 returned 75 of 100 samples, nan raised a bare ValueError
-    with pytest.raises(DomainError, match="cap_s"):
-        concat_windows([Waveform(np.zeros(100), 25.0)], cap_s=cap_s)
 
 
 def test_rate_estimation_pure_tones():
@@ -420,24 +397,25 @@ def test_error_metrics_se_oracle():
 
 
 def test_error_metrics_corr_modes():
+    # an undefined Corr is skipped for identical series, raised otherwise
     with pytest.raises(DomainError, match="Corr"):
         error_metrics([60.0, 62.0], [61.0, 61.0])
-    rep = error_metrics([60.0, 62.0], [61.0, 61.0], corr="skip")
-    assert rep.mae.avg == 1.0
-    assert rep.corr is None
 
     constant = [70.0, 70.0, 70.0]
+    rep = error_metrics(constant, constant)
+    assert rep.corr is None and rep.mae.avg == 0.0
     with pytest.raises(DomainError, match="Corr"):
-        error_metrics(constant, constant, corr="strict")
-    assert error_metrics(constant, constant, corr="auto").corr is None
+        error_metrics(constant, [70.0, 71.0, 72.0])
     with pytest.raises(DomainError, match="Corr"):
-        error_metrics(constant, [70.0, 71.0, 72.0], corr="auto")
+        error_metrics(constant, [71.0, 71.0, 71.0])
 
-    # identical series skip Corr in auto mode even below three windows
-    short = error_metrics([72.0, 72.0], [72.0, 72.0], corr="auto")
+    # identical series skip Corr even below three windows
+    short = error_metrics([72.0, 72.0], [72.0, 72.0])
     assert short.corr is None and short.mae.avg == 0.0
     with pytest.raises(DomainError, match="Corr"):
-        error_metrics([72.0, 72.0], [72.0, 73.0], corr="auto")
+        error_metrics([72.0, 72.0], [72.0, 73.0])
+    with pytest.raises(TypeError):
+        error_metrics(constant, constant, corr="skip")
 
 
 def test_error_metrics_preconditions():
@@ -569,7 +547,7 @@ def _evaluate_windows_loop(pred, gt, kind="hr", window_s=30.0, pad_factor=8, max
         rates_g.append(rg)
         snrs.append(_snr_oracle(wp, rg, band))
         maccs.append(macc(wp, wg, max_lag_s))
-    report = error_metrics(rates_p, rates_g, corr="auto")
+    report = error_metrics(rates_p, rates_g)
     return {
         **report.as_dict(),
         "snr": dict(zip(("avg", "se"), _avg_se(snrs))),

@@ -362,18 +362,6 @@ def test_forward_deterministic():
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_attention_toggle_consistency():
-    # attention with an all-zero post mix contributes exactly zero
-    # through the residual, matching the attention-free forward
-    clip = gen_clip(40, 9, 3, seed=8)
-    plain = _small_cfg()
-    zeroed = AttentionConfig(variant="fsam", rank=4, post_mix=np.zeros((12, 12)))
-    with_zero_attention = _small_cfg(bvp_attention=zeroed)
-    a = network._branch_forward(clip, plain, "bvp", None, 25.0)
-    b = network._branch_forward(clip, with_zero_attention, "bvp", None, 25.0)
-    assert np.array_equal(a.samples, b.samples)
-
-
 def test_attention_inside_branches():
     att = AttentionConfig(variant="tsfm", rank=4)
     cfg = _small_cfg(bvp_attention=att, rsp_attention=att, seed=2)
