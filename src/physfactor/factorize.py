@@ -16,19 +16,21 @@ numerator is then 0 too, or the entry already is.
 
 The update is scale-free: V -> c V multiplies one factor by c and
 leaves the other unchanged. The solvers divide V by 2^e, the power of
-two at or below its largest entry, to keep the intermediates in range;
-a basis likewise, unless its largest entry already lies in [1, 2) (the
-grbf bank and the default target basis peak at exactly 1.0, so they
-are not copied). After the sweeps the low-rank product, the error trace
-and the factor each sweep updates first (H in `nmf_mu`, P in
-`constrained_nmf_mu`) are multiplied back by 2^e. Where that would
-take the factor's largest entry beyond float64, the excess power of two
-goes to the other factor. Two finite factors carry at most about
-2^2046 between them, so a scale beyond that (a basis whose largest
-entry is subnormal, with V near 2^1023) raises DomainError. Power-of-
-two scaling is exact, so away from over- and underflow the results are
-bit for bit those of the unscaled update, and solver(2^k V) is exactly
-2^k solver(V).
+two at or below its largest entry, to keep the intermediates in range.
+An array basis has each column divided by the power of two at or below
+that column's own peak, unless every column already peaks in [1, 2)
+(the grbf bank and the default target basis peak at exactly 1.0, so
+they are not copied). After the sweeps the low-rank product and the
+error trace are multiplied back by 2^e, and so is the factor each
+sweep updates first: H in `nmf_mu`; in `constrained_nmf_mu` row j of
+P, by 2^e over column j's power of two (B -> B D moves P by D^-1).
+Where that would take the factor's largest entry beyond float64, the
+excess power of two goes to the other factor. Two finite factors carry
+at most about 2^2046 between them, so a scale beyond that (a basis
+whose largest entry is subnormal, with V near 2^1023) raises
+DomainError. Power-of-two scaling is exact, so away from over- and
+underflow the results are bit for bit those of the unscaled update,
+and solver(2^k V) is exactly 2^k solver(V).
 
 Solutions are not unique, so both solvers are seeded and deterministic:
 same input, rank, iterations and seed gives bitwise identical factors.
@@ -41,11 +43,21 @@ basis into row blocks of `_BLOCK_ROWS` rows, each with the span of
 columns that holds its non-zero entries (`_row_blocks`): a caller's
 array is checked and scanned for them, while a GrbfBasis, built from
 validated parameters, gives its spans by arithmetic and fills each
-block from its profile without building the dense bank. B^T B and
-B^T V accumulate block by block over those spans, and each sweep forms
-B P one block at a time. A basis of at most `_BLOCK_ROWS` rows is one
-block over every column, so its results are those of the dense products
-bit for bit; taller bases agree with them within rounding.
+block from its profile without building the dense bank. B^T V
+accumulates block by block over those spans, and each sweep forms B P
+one block at a time.
+
+B^T B is the sum of the blocks' Grams G_r = B_r^T B_r, each over its
+block's span of w_r columns. Where those hold fewer entries than a
+dense K x K matrix (sum of w_r^2 < K^2: a grbf bank over more than one
+block, 24 blocks of about 44 columns against K = 750 at 3000 rows),
+the Grams stay apart, and each sweep forms B^T B P as the sum of
+G_r P[span_r] and P^T B^T B P as the sum of P[span_r]^T G_r P[span_r].
+Otherwise (one block, a one-column target basis, a dense tall basis)
+they are added into one dense B^T B. A basis of at most `_BLOCK_ROWS`
+rows is one block over every column, so its results are those of the
+dense products bit for bit; taller bases agree with them within
+rounding.
 """
 
 import math
@@ -171,8 +183,9 @@ def _check_nonneg(a, name):
 
 
 def _shift(a, e):
-    """a * 2^e, rounded once; a itself when e is 0."""
-    return np.ldexp(a, e) if e else a
+    """a * 2^e, rounded once; a itself when e is 0. e is an integer, or
+    an array of them that broadcasts against a (one per row or column)."""
+    return np.ldexp(a, e) if np.any(e) else a
 
 
 def _unit_scaled(v):
@@ -187,22 +200,29 @@ def _unit_scaled(v):
 
 
 def _excess(a, e):
-    """How many powers of two a * 2^e's largest entry lies beyond
-    float64's range; 0 if it is within it or a is all zero."""
-    amax = a.max()
-    return max(e + _exponent(amax) - 1023, 0) if amax > 0 else 0
+    """How many powers of two the largest entry of a * 2^e lies beyond
+    float64's range, for an integer e or a column of one exponent per
+    row of a; 0 if it is within it or a is all zero."""
+    peaks = a.max(axis=1)
+    nz = peaks > 0
+    if not nz.any():
+        return 0
+    e = np.broadcast_to(e, (a.shape[0], 1))[nz, 0]
+    return max(int(np.max(np.frexp(peaks[nz])[1] - 1 + e)) - 1023, 0)
 
 
 def _shift_pair(x, y, ex, ey):
     """x * 2^ex and y * 2^ey, except that the part of a shift that would
     take a factor's largest entry beyond float64 goes to the other
-    factor instead. The product x y gets the same 2^(ex + ey). Raises
-    DomainError where neither factor can take the excess."""
+    factor instead. The product x y gets the same 2^(ex + ey). ex may
+    be a column of one exponent per row of x; its excess is the largest
+    over the rows, and all of it goes to y. Raises DomainError where
+    neither factor can take the excess."""
     dx, dy = _excess(x, ex), _excess(y, ey)
     ex, ey = ex - dx + dy, ey - dy + dx
     if _excess(x, ex) or _excess(y, ey):
         raise DomainError(
-            f"the factors cannot carry a scale of 2^{ex + ey} in float64; "
+            f"the factors cannot carry a scale of 2^{np.max(ex) + ey} in float64; "
             "the input's scale over the basis's is too large"
         )
     return _shift(x, ex), _shift(y, ey)
@@ -245,8 +265,9 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     returns their reconstruction of `a`.
 
     `a` is the input divided by 2^e; the low-rank product and the trace
-    are multiplied back by 2^e, the factors x and y by 2^ex and 2^ey
-    (see _shift_pair).
+    are multiplied back by 2^e, the factors x and y by 2^ex and 2^ey,
+    where ex may be a column of one exponent per row of x (see
+    _shift_pair).
     """
     rank = check_int(rank, "rank", 1)
     if rank > max_rank:
@@ -307,8 +328,8 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         Q <- Q * (P^T B^T V) / (P^T B^T B P Q)
     which are valid multiplicative updates because B is non-negative.
     Every column of the reconstruction B P Q lies in span(B). The
-    sweeps run on V / 2^e and B / 2^eb, and P carries 2^(e - eb) back
-    (see the module docstring).
+    sweeps run on V / 2^e and on B with column j divided by 2^eb_j, and
+    row j of P carries 2^(e - eb_j) back (see the module docstring).
 
     Args:
         v: non-negative, finite EmbeddingMatrix or 2D array (M x N).
@@ -329,8 +350,13 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         b = np.asarray(basis, dtype=np.float64)
         if b.ndim == 1:
             b = b[:, None]
-        eb = _check_nonneg(b, "constraint basis")
+        _check_nonneg(b, "constraint basis")
+        # each column divided by the power of two at or below its own
+        # peak, and P's row for it multiplied back by the same
+        peaks = b.max(axis=0)
+        eb = np.where(peaks > 0, np.frexp(peaks)[1] - 1, 0)
         b = _shift(b, -eb)
+        eb = eb[:, None]
         # contiguous like the band's blocks, so that both take the same
         # BLAS calls (numpy multiplies a strided one-column view itself)
         blocks = [(rows, cols, np.ascontiguousarray(b[rows, cols])) for rows, cols in _row_blocks(b)]
@@ -340,15 +366,35 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         )
 
     k = b.shape[1]
-    btb = np.zeros((k, k))
+    grams = []
     btv = np.zeros((k, a.shape[1]))
     for rows, cols, blk in blocks:
-        btb[cols, cols] += blk.T @ blk
+        grams.append((cols, blk.T @ blk))
         btv[cols] += blk.T @ a[rows]
+    if sum((cols.stop - cols.start) ** 2 for cols, _ in grams) < k * k:
+        # the blocks' Grams hold fewer entries than B^T B: keep them apart
+        def btb_p(p):
+            out = np.zeros(p.shape)
+            for cols, g in grams:
+                out[cols] += g @ p[cols]
+            return out
+
+        def pt_btb_p(p):
+            return sum((p[cols].T @ g) @ p[cols] for cols, g in grams)
+    else:
+        btb = np.zeros((k, k))
+        for cols, g in grams:
+            btb[cols, cols] += g
+
+        def btb_p(p):
+            return btb @ p
+
+        def pt_btb_p(p):
+            return p.T @ btb @ p
 
     def sweep(p, q):
-        _mu_step(p, btv @ q.T, btb @ p @ q @ q.T)
-        _mu_step(q, p.T @ btv, p.T @ btb @ p @ q)
+        _mu_step(p, btv @ q.T, btb_p(p) @ q @ q.T)
+        _mu_step(q, p.T @ btv, pt_btb_p(p) @ q)
         bp = np.empty((b.shape[0], p.shape[1]))
         for rows, cols, blk in blocks:
             np.matmul(blk, p[cols], out=bp[rows])

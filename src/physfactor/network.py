@@ -11,12 +11,19 @@ to the frame count at the end. Both branches are fully convolutional in
 time: any frame count works (the respiration branch needs it divisible
 by its stride product).
 
-Every conv block runs through `conv3d_forward`, an im2col lowering over
-space only, in float64 (MEC, applied to the temporal axis): the spatial
-patches of each input frame are copied once, and each output frame's
-temporal window is a strided view over consecutive frames of that
-buffer, so one batched matmul per chunk of output frames needs no
-temporal copy. The per-tap loop it replaced is the oracle in the tests.
+Every conv block runs through `conv3d_forward`, in float64, which
+lowers it one of two ways by the input's shape. A frame with more
+pixels than the kernel has spatial taps (a*b > ka*kb: every block at
+36 and 72 px, blocks 0 and 1 at 9 px) takes an im2col over space only
+(MEC, applied to the temporal axis): the spatial patches of each input
+frame are copied once, and each output frame's temporal window is a
+strided view over consecutive frames of that buffer, so one batched
+matmul per chunk of output frames needs no temporal copy. A smaller
+frame (blocks 2 and 3 at 9 px, 3x3 and 2x2 inputs) takes a frame
+operator: the spatial conv folded into one dense matrix per temporal
+tap, so the whole clip is kt GEMMs over the input with no patch copy,
+and no more multiply-adds than the patch matrix. The per-tap loop both
+replaced is the oracle in the tests.
 
 Weights are drawn once per `ModelConfig` from a seeded generator; there
 is no training here, determinism is all that matters.
@@ -117,16 +124,14 @@ _CHUNK_COLUMNS = 2048
 def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)):
     """Strided 3D cross-correlation with zero padding.
 
-    Lowered to im2col over space only (MEC, Cho & Brand 2017, applied
-    to the temporal axis). Output frames run in chunks. The input frames
-    a chunk reads, its kt - st frame halo included, go into a reused
-    zero-bordered frame buffer, and the ka*kb spatial patches of each
-    are copied once into a reused buffer laid out (frame, in_c, ka, kb,
-    a_out, b_out). The kt frames an output frame reads are then one
-    contiguous (kt*in_c*ka*kb, a_out*b_out) matrix, so a strided view
-    serves the temporal window without a copy. One batched matmul with
-    the weights in (out_c, kt, in_c, ka, kb) order writes the chunk's
-    output frames directly.
+    Two lowerings, picked by the input's frame size. A frame of at most
+    ka*kb pixels (a*b <= ka*kb) takes the frame operator
+    (_frame_operator_conv): one dense (ci*a*b, co*a_out*b_out) matrix
+    per temporal tap, built from the weights, and kt GEMMs over the
+    time-padded input. Per output entry, input channel and temporal tap
+    it does a*b multiply-adds where the patch matrix does ka*kb, so it
+    never does more. A larger frame takes the patch matrix
+    (_patch_matrix_conv), im2col over space only.
 
     Args:
         eps: VoxelEmbedding (t, c, a, b).
@@ -159,9 +164,34 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
     t_in, a_in, b_in = t + 2 * pt, a + 2 * pa, b + 2 * pb
     if kt > t_in or ka > a_in or kb > b_in:
         raise DomainError("kernel larger than the padded input")
-    t_out = (t_in - kt) // st + 1
-    a_out = (a_in - ka) // sa + 1
-    b_out = (b_in - kb) // sb + 1
+    out_shape = ((t_in - kt) // st + 1, (a_in - ka) // sa + 1, (b_in - kb) // sb + 1)
+    lower = _frame_operator_conv if a * b <= ka * kb else _patch_matrix_conv
+    out = lower(eps.data, w, out_shape, (st, sa, sb), (pt, pa, pb))
+    if bias is not None:
+        out += bias[None, :, None, None]
+    return VoxelEmbedding(out)
+
+
+def _patch_matrix_conv(x, w, out_shape, strides, padding):
+    """The conv as im2col over space only (MEC, Cho & Brand 2017,
+    applied to the temporal axis).
+
+    Output frames run in chunks. The input frames a chunk reads, its
+    kt - st frame halo included, go into a reused zero-bordered frame
+    buffer, and the ka*kb spatial patches of each are copied once into a
+    reused buffer laid out (frame, in_c, ka, kb, a_out, b_out). The kt
+    frames an output frame reads are then one contiguous
+    (kt*in_c*ka*kb, a_out*b_out) matrix, so a strided view serves the
+    temporal window without a copy. One batched matmul with the weights
+    in (out_c, kt, in_c, ka, kb) order writes the chunk's output frames
+    directly.
+    """
+    t, ci, a, b = x.shape
+    co, _, kt, ka, kb = w.shape
+    t_out, a_out, b_out = out_shape
+    st, sa, sb = strides
+    pt, pa, pb = padding
+    a_in, b_in = a + 2 * pa, b + 2 * pb
     cols = a_out * b_out
     frames = min(t_out, max(4, _CHUNK_COLUMNS // cols))
     xbuf = np.zeros(((frames - 1) * st + kt, ci, a_in, b_in))
@@ -182,16 +212,54 @@ def conv3d_forward(eps, weights, bias=None, strides=(1, 1, 1), padding=(0, 0, 0)
         f0 = t0 * st - pt
         lo = min(max(-f0, 0), span)
         hi = max(min(t - f0, span), lo)
-        inner[lo:hi] = eps.data[f0 + lo : f0 + hi]
+        inner[lo:hi] = x[f0 + lo : f0 + hi]
         inner[hi:span] = 0.0
         np.copyto(buf[:span], patches[:span])
         # output frame j reads buffer frames j*st .. j*st + kt - 1, which
         # are consecutive in memory: one (rows, cols) matrix per frame
         view = as_strided(buf, (n, rows, cols), (st * buf[0].nbytes, cols * 8, 8), writeable=False)
         np.matmul(wmat, view, out=out[t0 : t0 + n].reshape(n, co, cols))
-    if bias is not None:
-        out += bias[None, :, None, None]
-    return VoxelEmbedding(out)
+    return out
+
+
+def _frame_operator_conv(x, w, out_shape, strides, padding):
+    """The conv as one dense frame operator per temporal tap, for frames
+    with no more pixels than the kernel has taps.
+
+    M_tau maps an input frame, flattened to its ci*a*b entries, to the
+    co*a_out*b_out entries of an output frame: entry ((c, i, j), (o, p,
+    q)) is w[o, c, tau, i - p*sa + pa, j - q*sb + pb], or 0 where that
+    tap reads the spatial padding. Output frame f is the sum over tau of
+    padded input frame f*st + tau times M_tau, so the output is kt GEMMs
+    over row views of the time-padded input, with no patch copy, already
+    laid out (t_out, co, a_out, b_out).
+    """
+    t, ci, a, b = x.shape
+    co, _, kt, ka, kb = w.shape
+    t_out, a_out, b_out = out_shape
+    st, sa, sb = strides
+    pt, pa, pb = padding
+    # di[i, p]: the kernel row that input row i meets in output row p,
+    # or ka, the zero slot appended below, where they do not meet (the
+    # tap reads the padding); dj likewise for the columns
+    di = np.arange(a)[:, None] - sa * np.arange(a_out)[None, :] + pa
+    dj = np.arange(b)[:, None] - sb * np.arange(b_out)[None, :] + pb
+    di = np.where((di >= 0) & (di < ka), di, ka)
+    dj = np.where((dj >= 0) & (dj < kb), dj, kb)
+    wz = np.zeros((kt, ci, ka + 1, kb + 1, co))
+    wz[:, :, :ka, :kb] = w.transpose(2, 1, 3, 4, 0)
+    # (kt, ci, a, b, a_out, b_out, co) -> (kt, ci*a*b, co*a_out*b_out)
+    ops = wz[:, :, di[:, None, :, None], dj[None, :, None, :]]
+    ops = ops.transpose(0, 1, 2, 3, 6, 4, 5).reshape(kt, ci * a * b, co * a_out * b_out)
+    xp = np.zeros((t + 2 * pt, ci * a * b))
+    xp[pt : pt + t] = x.reshape(t, -1)
+    # rows tau, tau + st, ...: a plain strided row view, so each product
+    # is one GEMM
+    span = (t_out - 1) * st + 1
+    out = xp[:span:st] @ ops[0]
+    for tau in range(1, kt):
+        out += xp[tau : tau + span : st] @ ops[tau]
+    return out.reshape(t_out, co, a_out, b_out)
 
 
 def _init_branch(cfg, branch):

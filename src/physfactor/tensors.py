@@ -149,6 +149,10 @@ def unflatten_to_voxel(v, shape):
 def instance_norm(eps, epsilon=1e-5):
     """Normalize each channel to zero mean, unit variance over (t, a, b).
 
+    The statistics are sums over contiguous axes: over time on the
+    (t, c*a*b) matrix, then over the a*b pixels of each channel. They
+    differ from x.mean and x.var over axes (0, 2, 3) only in rounding.
+
     Args:
         eps: input embedding.
         epsilon: variance guard added under the square root, finite and > 0.
@@ -158,9 +162,16 @@ def instance_norm(eps, epsilon=1e-5):
     """
     check_real(epsilon, "instance_norm epsilon", gt=0)
     x = eps.data
-    mu = x.mean(axis=(0, 2, 3), keepdims=True)     # (1, c, 1, 1)
-    var = x.var(axis=(0, 2, 3), keepdims=True)
-    return VoxelEmbedding((x - mu) / np.sqrt(var + epsilon))
+    t, c = x.shape[:2]
+    n = x.size // c
+
+    def channel_mean(y):
+        return y.reshape(t, -1).sum(axis=0).reshape(c, -1).sum(axis=1)[:, None, None] / n
+
+    d = x - channel_mean(x)
+    var = channel_mean(d * d)
+    d /= np.sqrt(var + epsilon)
+    return VoxelEmbedding(d)
 
 
 def hadamard(a, b):

@@ -265,11 +265,20 @@ def _nmf_mu_loop(a, rank, iterations, seed):
     return w, h, w @ h, trace
 
 
+def _column_exponents(b):
+    """The exponent of the power of two at or below each column's peak
+    (0 for an all-zero column)."""
+    return np.array([_exponent(c.max()) for c in b.T])
+
+
 def _constrained_nmf_mu_loop(a, b, rank, iterations, seed):
+    # the solver divides each basis column by 2^e_j and starts from the
+    # same draw; the MU step is equivariant under B -> B D only with P's
+    # start moved by D^-1, so P starts at the draw times 2^-e_j by row
     k = b.shape[1]
     n = a.shape[1]
     rng = np.random.default_rng(seed)
-    p = 1.0 - rng.random((k, rank))
+    p = np.ldexp(1.0 - rng.random((k, rank)), -_column_exponents(b)[:, None])
     q = 1.0 - rng.random((rank, n))
     btb = b.T @ b
     btv = b.T @ a
@@ -513,6 +522,66 @@ def test_constrained_nmf_mu_blocks_match_dense_loop(data):
     for got, want in ((res.factors.w, w), (res.factors.h, h), (res.low_rank, low)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.error_trace - trace)) <= 1e-12 * np.linalg.norm(a)
+
+
+def _block_gram_applies(b):
+    """Whether constrained_nmf_mu keeps one Gram per row block of b
+    rather than a dense B^T B: the blocks' spans hold fewer entries."""
+    return sum((cols.stop - cols.start) ** 2 for _, cols in _row_blocks(b)) < b.shape[1] ** 2
+
+
+def test_multi_block_grbf_solve_matches_dense_gram_loop():
+    # 600 rows, 150 bumps: five row blocks of about 44 columns each, so
+    # the solve keeps the blocks' Grams apart
+    g = grbf_basis(600, 2.0, 4)
+    assert len(_row_blocks(g)) == 5 and _block_gram_applies(g)
+    a = np.random.default_rng(17).random((600, 12))
+    res = constrained_nmf_mu(a, g, rank=8, iterations=6, seed=3)
+    w, h, low, trace = _constrained_nmf_mu_loop(a, g.phi, 8, 6, 3)
+    bound = 1e-12 * np.linalg.norm(a)
+    assert np.all(np.diff(res.error_trace) <= bound)
+    assert np.max(np.abs(res.error_trace - trace)) <= bound
+    assert np.linalg.norm(res.low_rank - low) <= bound
+    for got, want in ((res.factors.w, w), (res.factors.h, h)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def _dense_gram_loop(a, b, rank, iterations, seed):
+    # the solve on a dense B^T B, scattered from the row blocks' Grams,
+    # with B P formed block by block: constrained_nmf_mu as it ran
+    # before it kept the Grams apart, for a basis and V that need no
+    # scaling (largest entries in [1, 2))
+    rng = np.random.default_rng(seed)
+    p = 1.0 - rng.random((b.shape[1], rank))
+    q = 1.0 - rng.random((rank, a.shape[1]))
+    blocks = [(rows, cols, np.ascontiguousarray(b[rows, cols])) for rows, cols in _row_blocks(b)]
+    btb = np.zeros((b.shape[1], b.shape[1]))
+    btv = np.zeros((b.shape[1], a.shape[1]))
+    for rows, cols, blk in blocks:
+        btb[cols, cols] += blk.T @ blk
+        btv[cols] += blk.T @ a[rows]
+    trace = np.empty(iterations)
+    for it in range(iterations):
+        p *= _ratio(btv @ q.T, btb @ p @ q @ q.T)
+        q *= _ratio(p.T @ btv, p.T @ btb @ p @ q)
+        bp = np.empty((b.shape[0], rank))
+        for rows, cols, blk in blocks:
+            bp[rows] = blk @ p[cols]
+        trace[it] = np.linalg.norm(a - bp @ q)
+    return p, q, trace
+
+
+def test_dense_tall_basis_keeps_the_dense_gram_bit_for_bit():
+    # every row block of a dense basis spans all its columns
+    rng = np.random.default_rng(5)
+    b = 1.0 + rng.random((300, 6))
+    a = 1.0 + rng.random((300, 9))
+    assert len(_row_blocks(b)) == 3 and not _block_gram_applies(b)
+    res = constrained_nmf_mu(a, b, rank=4, iterations=5, seed=2)
+    p, q, trace = _dense_gram_loop(a, b, 4, 5, 2)
+    assert np.array_equal(res.factors.w, p)
+    assert np.array_equal(res.factors.h, q)
+    assert np.array_equal(res.error_trace, trace)
 
 
 @settings(max_examples=150, deadline=None)

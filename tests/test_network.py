@@ -15,7 +15,7 @@ from physfactor.network import (
     forward_multitask,
     param_count,
 )
-from physfactor.synth import gen_clip, gen_pulse
+from physfactor.synth import gen_clip, gen_pulse, gen_resp
 from physfactor.tensors import VoxelEmbedding
 
 
@@ -163,12 +163,33 @@ _CHUNK_EXAMPLES = {
 }
 
 
+# Shapes on either side of the rule that picks the frame operator (input
+# pixels a*b at most the kernel's ka*kb taps) over the patch matrix; see
+# test_conv3d_examples_take_their_lowering.
+_FRAME_EXAMPLES = {
+    # a*b = ka*kb: the 3x3 input of the 9 px forward's block 2
+    "frame-operator": dict(t=40, ci=3, a=3, b=3, co=4, strides=(1, 2, 2)),
+    # a*b = ka*kb + 1: the patch matrix
+    "patch-matrix": dict(t=40, ci=3, a=2, b=5, co=4, strides=(1, 2, 2)),
+    # a 2x1 input under a 3x3 kernel, which reads mostly padding
+    "smaller-than-kernel": dict(t=12, ci=2, a=2, b=1, co=3),
+    "stride-2": dict(t=11, ci=3, a=2, b=2, co=4, strides=(2, 1, 1)),
+    # the first and last output frames read only padding
+    "kt-1-stride-3": dict(t=9, ci=2, a=3, b=3, co=3, kernel=(1, 3, 3), strides=(3, 1, 1), padding=(2, 1, 1)),
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(conv_cases())
 @example(_case(**_CHUNK_EXAMPLES["partial-last"]))
 @example(_case(**_CHUNK_EXAMPLES["stride-2-halo"]))
 @example(_case(**_CHUNK_EXAMPLES["wide-frame"]))
 @example(_case(**_CHUNK_EXAMPLES["kt-1"]))
+@example(_case(**_FRAME_EXAMPLES["frame-operator"]))
+@example(_case(**_FRAME_EXAMPLES["patch-matrix"]))
+@example(_case(**_FRAME_EXAMPLES["smaller-than-kernel"]))
+@example(_case(**_FRAME_EXAMPLES["stride-2"]))
+@example(_case(**_FRAME_EXAMPLES["kt-1-stride-3"]))
 def test_conv3d_matches_tap_loop(case):
     x, w, bias, strides, padding = case
     got = conv3d_forward(VoxelEmbedding(x), w, bias, strides, padding)
@@ -211,14 +232,38 @@ def test_conv3d_examples_straddle_the_chunk():
     assert (t_out - 1) // frames * frames * st - pt >= ex["t"]
 
 
-def test_forward_matches_tap_loop_forward(monkeypatch):
-    cfg = ModelConfig(seed=4)
-    clip = gen_clip(8, 72, 3, seed=12)
-    pulse, resp = forward_multitask(clip, None, cfg)
+@pytest.mark.parametrize("name", sorted(_FRAME_EXAMPLES))
+def test_conv3d_examples_take_their_lowering(monkeypatch, name):
+    # the explicit examples above must keep reaching the lowering they
+    # are named for
+    calls = []
+    frame_operator = network._frame_operator_conv
+    monkeypatch.setattr(network, "_frame_operator_conv", lambda *a: calls.append(1) or frame_operator(*a))
+    x, w, bias, strides, padding = _case(**_FRAME_EXAMPLES[name])
+    conv3d_forward(VoxelEmbedding(x), w, bias, strides, padding)
+    assert len(calls) == (name != "patch-matrix")
+
+
+def _forward_against_tap_loop(monkeypatch, cfg, rgb, thermal, *targets):
+    pulse, resp = forward_multitask(rgb, thermal, cfg, *targets)
     monkeypatch.setattr(network, "conv3d_forward", _conv3d_taps)
-    pulse_taps, resp_taps = forward_multitask(clip, None, cfg)
+    pulse_taps, resp_taps = forward_multitask(rgb, thermal, cfg, *targets)
     assert _rel_err(pulse.samples, pulse_taps.samples) <= 1e-12
     assert _rel_err(resp.samples, resp_taps.samples) <= 1e-12
+
+
+def test_forward_matches_tap_loop_forward(monkeypatch):
+    # at 72 px every block takes the patch matrix
+    _forward_against_tap_loop(monkeypatch, ModelConfig(seed=4), gen_clip(8, 72, 3, seed=12), None)
+
+
+def test_forward_at_9px_matches_tap_loop_forward(monkeypatch):
+    # at 9 px blocks 2 and 3 (3x3 and 2x2 inputs) take the frame operator
+    cfg = ModelConfig(input_resolution=9, input_channels=4, seed=3,
+                      bvp_attention=AttentionConfig("grbf"), rsp_attention=AttentionConfig("tsfm"))
+    rgb, thermal = gen_clip(120, 9, 3, seed=7), gen_clip(120, 9, 1, seed=8)
+    targets = gen_pulse(25.0, 72.0, 4.8).samples, gen_resp(25.0, 15.0, 4.8).samples
+    _forward_against_tap_loop(monkeypatch, cfg, rgb, thermal, *targets)
 
 
 @pytest.mark.parametrize("weights, bias", [

@@ -101,6 +101,43 @@ def test_instance_norm_shift_invariance():
     assert np.max(np.abs(a - b)) < 1e-6
 
 
+def _instance_norm_per_axis(x, epsilon=1e-5):
+    # the formula instance_norm replaced, numpy's mean and variance over
+    # the (t, a, b) axes; kept as the oracle
+    mu = x.mean(axis=(0, 2, 3), keepdims=True)
+    var = x.var(axis=(0, 2, 3), keepdims=True)
+    return (x - mu) / np.sqrt(var + epsilon)
+
+
+@st.composite
+def norm_inputs(draw):
+    """An embedding whose channels have a spread from 1e-3 to 1e3 (either
+    side of epsilon) and a mean within a few spreads of 0, signed or
+    rectified, with a share of all-zero channels; the shapes include the
+    9 px forward pass's (t, c, 2, 2) and (t, c, 9, 9)."""
+    a = draw(st.sampled_from((1, 2, 3, 9)))
+    shape = (draw(st.integers(1, 400)), draw(st.integers(1, 12)), a, draw(st.sampled_from((a, 1, 4))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    x = scale * (draw(st.floats(-3.0, 3.0)) + rng.normal(size=shape))
+    if draw(st.booleans()):
+        x = np.maximum(x, 0.0)
+    x[:, rng.random(shape[1]) < 0.2] = 0.0
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_inputs())
+def test_instance_norm_matches_per_axis_statistics(x):
+    got = instance_norm(VoxelEmbedding(x)).data
+    want = _instance_norm_per_axis(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), np.finfo(float).tiny)
+    # a channel that is all zero stays exactly zero
+    zero = ~x.any(axis=(0, 2, 3))
+    assert not got[:, zero].any()
+
+
 def test_instance_norm_needs_positive_epsilon():
     with pytest.raises(DomainError):
         instance_norm(VoxelEmbedding(np.zeros((2, 1, 1, 1))), epsilon=0.0)
