@@ -38,6 +38,7 @@ from .tensors import (
     hadamard,
     instance_norm,
     unflatten_to_voxel,
+    unit_scaled,
 )
 
 VARIANTS = ("fsam", "grbf", "tsfm")
@@ -143,13 +144,12 @@ def csim_map(eps, target):
     ymax = np.max(np.abs(y))
     if ymax == 0.0:
         raise DomainError("target signal is all zeros")
-    # the cosine ignores scale, so each trace and the target are divided
-    # by their largest magnitude first: no norm can overflow, and every
-    # non-zero trace keeps a norm of at least 1
+    # the cosine is scale-free (see unit_scaled): no norm can overflow,
+    # and every non-zero trace keeps a norm of at least 1
     xmax = np.max(np.abs(x), axis=0)
     nz = xmax > 0
-    xs = x / np.where(nz, xmax, 1.0)
-    ys = y / ymax
+    xs, _ = unit_scaled(x, xmax)
+    ys, _ = unit_scaled(y, ymax)
     num = np.abs(np.tensordot(ys, xs, axes=([0], [0])))   # (c, a, b)
     den = np.linalg.norm(xs, axis=0) * np.linalg.norm(ys)
     out = np.zeros_like(num)

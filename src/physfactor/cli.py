@@ -21,7 +21,7 @@ import numpy as np
 from . import synth
 from .attention import VARIANTS, compute_attention, csim_map, solve
 from .config import ENV_CONFIG_PATH, defaults_text, load_run_config
-from .errors import DomainError, InputFormatError, check_real
+from .errors import DomainError, InputFormatError, check_int, check_real
 from .metrics import estimate_rate_fft, evaluate_windows
 from .network import forward_multitask, param_count
 from .tensors import EmbeddingMatrix, VoxelEmbedding, Waveform
@@ -62,7 +62,11 @@ def read_matrix_csv(path, header=False):
     with its line number."""
     rows = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise InputFormatError(f"{path}: not a text file") from None
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -136,7 +140,7 @@ def _parse_shape(text, length, flag):
         raise InputFormatError(f"{flag} expects {length} comma-separated integers") from None
     if len(parts) != length:
         raise InputFormatError(f"{flag} expects {length} comma-separated integers")
-    return parts
+    return tuple(check_int(x, flag, 1) for x in parts)
 
 
 def cmd_attend(args):
@@ -144,7 +148,12 @@ def cmd_attend(args):
     att_cfg = cfg.attention_config(args.variant)
 
     if args.input:
-        data = np.load(args.input)
+        try:
+            data = np.load(args.input)
+        except (ValueError, EOFError) as exc:
+            raise InputFormatError(f"{args.input}: not a numeric .npy array ({exc})") from None
+        if not isinstance(data, np.ndarray):    # an .npz archive
+            raise InputFormatError(f"{args.input}: expected one .npy array, got an archive")
         if data.ndim != 4:
             raise DomainError(f"{args.input}: expected a 4D array, got ndim={data.ndim}")
         eps = VoxelEmbedding(data)
@@ -162,7 +171,7 @@ def cmd_attend(args):
             for b in range(shape[3])
         ]
         rng.shuffle(coords)
-        n_planted = min(args.n_planted, len(coords))
+        n_planted = min(check_int(args.n_planted, "--n-planted", 1), len(coords))
         spec = synth.PlantSpec(shape, tuple(coords[:n_planted]), pulse, args.noise_sigma, cfg.seed)
         eps, mask = synth.gen_planted_embedding(spec)
         target = pulse.samples

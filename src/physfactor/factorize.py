@@ -15,22 +15,18 @@ denominator is 0 becomes 0 (0/0 -> 0); in exact arithmetic its
 numerator is then 0 too, or the entry already is.
 
 The update is scale-free: V -> c V multiplies one factor by c and
-leaves the other unchanged. The solvers divide V by 2^e, the power of
-two at or below its largest entry, to keep the intermediates in range.
-An array basis has each column divided by the power of two at or below
-that column's own peak, unless every column already peaks in [1, 2)
-(the grbf bank and the default target basis peak at exactly 1.0, so
-they are not copied). After the sweeps the low-rank product and the
-error trace are multiplied back by 2^e, and so is the factor each
-sweep updates first: H in `nmf_mu`; in `constrained_nmf_mu` row j of
-P, by 2^e over column j's power of two (B -> B D moves P by D^-1).
-Where that would take the factor's largest entry beyond float64, the
-excess power of two goes to the other factor. Two finite factors carry
-at most about 2^2046 between them, so a scale beyond that (a basis
-whose largest entry is subnormal, with V near 2^1023) raises
-DomainError. Power-of-two scaling is exact, so away from over- and
-underflow the results are bit for bit those of the unscaled update,
-and solver(2^k V) is exactly 2^k solver(V).
+leaves the other unchanged. The solvers run on V / 2^e and on an array
+basis with each column divided by its own power of two (see
+tensors.unit_scaled; the grbf bank and the default target basis peak
+at exactly 1.0, so they are not copied). After the sweeps the low-rank
+product and the error trace are multiplied back by 2^e, and so is the
+factor each sweep updates first: H in `nmf_mu`; in
+`constrained_nmf_mu` row j of P, by 2^e over column j's power of two
+(B -> B D moves P by D^-1). Where that would take the factor's largest
+entry beyond float64, the excess power of two goes to the other
+factor. Two finite factors carry at most about 2^2046 between them, so
+a scale beyond that (a basis whose largest entry is subnormal, with V
+near 2^1023) raises DomainError.
 
 Solutions are not unique, so both solvers are seeded and deterministic:
 same input, rank, iterations and seed gives bitwise identical factors.
@@ -48,16 +44,14 @@ accumulates block by block over those spans, and each sweep forms B P
 one block at a time.
 
 B^T B is the sum of the blocks' Grams G_r = B_r^T B_r, each over its
-block's span of w_r columns. Where those hold fewer entries than a
-dense K x K matrix (sum of w_r^2 < K^2: a grbf bank over more than one
-block, 24 blocks of about 44 columns against K = 750 at 3000 rows),
-the Grams stay apart, and each sweep forms B^T B P as the sum of
-G_r P[span_r] and P^T B^T B P as the sum of P[span_r]^T G_r P[span_r].
-Otherwise (one block, a one-column target basis, a dense tall basis)
-they are added into one dense B^T B. A basis of at most `_BLOCK_ROWS`
-rows is one block over every column, so its results are those of the
-dense products bit for bit; taller bases agree with them within
-rounding.
+block's span of columns. The Grams of blocks that share a span are
+added into one, and each sweep forms B^T B P as the sum of G_s P[s] and
+P^T B^T B P as the sum of P[s]^T G_s P[s] over the distinct spans s.
+A basis of at most `_BLOCK_ROWS` rows, a one-column target basis and a
+dense tall basis have one span over every column, so their results are
+those of the dense products bit for bit; a grbf bank over several
+blocks (24 spans of about 44 columns against K = 750 at 3000 rows)
+agrees with them within rounding.
 """
 
 import math
@@ -68,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, check_finite, check_int, check_real
-from .tensors import EmbeddingMatrix, Waveform
+from .tensors import EmbeddingMatrix, Waveform, pow2_exponent, shifted, unit_scaled
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
 _BLOCK_ROWS = 128
@@ -166,37 +160,13 @@ class FactorizationResult:
     seed: int
 
 
-def _exponent(amax):
-    """The exponent e of 2^e, the power of two at or below amax >= 0
-    (0 for amax = 0)."""
-    return math.frexp(amax)[1] - 1 if amax > 0 else 0
-
-
 def _check_nonneg(a, name):
-    """Reject a negative or non-finite entry. Returns the exponent of
-    the largest entry (see _exponent)."""
+    """Reject a negative or non-finite entry. Returns the largest entry."""
     amax = a.max()
     # written so that NaN fails the comparison
     if not a.min() >= 0 or amax == np.inf:
         raise DomainError(f"{name} must be non-negative and finite")
-    return _exponent(amax)
-
-
-def _shift(a, e):
-    """a * 2^e, rounded once; a itself when e is 0. e is an integer, or
-    an array of them that broadcasts against a (one per row or column)."""
-    return np.ldexp(a, e) if np.any(e) else a
-
-
-def _unit_scaled(v):
-    """(v / 2^e, e), with 2^e the power of two at or below v's largest
-    magnitude, which the division puts in [1, 2). It is exact, except
-    for entries more than 2^1022 below the largest. Scale-free
-    statistics such as Pearson's r use it so that no sum of squares,
-    and no product of two, over- or underflows; where none did before,
-    their results are bitwise unchanged."""
-    e = _exponent(max(v.max(), -v.min()))
-    return _shift(v, -e), e
+    return amax
 
 
 def _excess(a, e):
@@ -208,7 +178,7 @@ def _excess(a, e):
     if not nz.any():
         return 0
     e = np.broadcast_to(e, (a.shape[0], 1))[nz, 0]
-    return max(int(np.max(np.frexp(peaks[nz])[1] - 1 + e)) - 1023, 0)
+    return max(int(np.max(pow2_exponent(peaks[nz]) + e)) - 1023, 0)
 
 
 def _shift_pair(x, y, ex, ey):
@@ -225,17 +195,16 @@ def _shift_pair(x, y, ex, ey):
             f"the factors cannot carry a scale of 2^{np.max(ex) + ey} in float64; "
             "the input's scale over the basis's is too large"
         )
-    return _shift(x, ex), _shift(y, ey)
+    return shifted(x, ex), shifted(y, ey)
 
 
 def _nonneg_matrix(v, name):
-    """The input as a float64 matrix divided by 2^e (see _check_nonneg),
-    and e."""
+    """The input as a float64 matrix divided by 2^e, the power of two at
+    or below its largest entry, and e (see tensors.unit_scaled)."""
     a = v.data if isinstance(v, EmbeddingMatrix) else np.asarray(v, dtype=np.float64)
     if a.ndim != 2:
         raise DomainError(f"{name} expects a 2D matrix")
-    e = _check_nonneg(a, f"{name} input")
-    return _shift(a, -e), e
+    return unit_scaled(a, _check_nonneg(a, f"{name} input"))
 
 
 def _grbf_params(sigma, delta_t, prefix):
@@ -282,7 +251,7 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
         low = sweep(x, y)
         trace[it] = np.linalg.norm(a - low)
     x, y = _shift_pair(x, y, ex, ey)
-    low, trace = _shift(low, e), _shift(trace, e)
+    low, trace = shifted(low, e), shifted(trace, e)
     for arr in (x, y, low, trace):
         arr.flags.writeable = False
     return FactorizationResult(FactorPair(x, y, rank), low, trace, iterations, seed)
@@ -353,9 +322,7 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         _check_nonneg(b, "constraint basis")
         # each column divided by the power of two at or below its own
         # peak, and P's row for it multiplied back by the same
-        peaks = b.max(axis=0)
-        eb = np.where(peaks > 0, np.frexp(peaks)[1] - 1, 0)
-        b = _shift(b, -eb)
+        b, eb = unit_scaled(b, b.max(axis=0))
         eb = eb[:, None]
         # contiguous like the band's blocks, so that both take the same
         # BLAS calls (numpy multiplies a strided one-column view itself)
@@ -366,31 +333,21 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         )
 
     k = b.shape[1]
-    grams = []
+    grams = {}    # one Gram per distinct span (j0, j1), summed in block order
     btv = np.zeros((k, a.shape[1]))
     for rows, cols, blk in blocks:
-        grams.append((cols, blk.T @ blk))
+        span, g = (cols.start, cols.stop), blk.T @ blk
+        grams[span] = grams[span] + g if span in grams else g
         btv[cols] += blk.T @ a[rows]
-    if sum((cols.stop - cols.start) ** 2 for cols, _ in grams) < k * k:
-        # the blocks' Grams hold fewer entries than B^T B: keep them apart
-        def btb_p(p):
-            out = np.zeros(p.shape)
-            for cols, g in grams:
-                out[cols] += g @ p[cols]
-            return out
 
-        def pt_btb_p(p):
-            return sum((p[cols].T @ g) @ p[cols] for cols, g in grams)
-    else:
-        btb = np.zeros((k, k))
-        for cols, g in grams:
-            btb[cols, cols] += g
+    def btb_p(p):
+        out = np.zeros(p.shape)
+        for (j0, j1), g in grams.items():
+            out[j0:j1] += g @ p[j0:j1]
+        return out
 
-        def btb_p(p):
-            return btb @ p
-
-        def pt_btb_p(p):
-            return p.T @ btb @ p
+    def pt_btb_p(p):
+        return sum((p[j0:j1].T @ g) @ p[j0:j1] for (j0, j1), g in grams.items())
 
     def sweep(p, q):
         _mu_step(p, btv @ q.T, btb_p(p) @ q @ q.T)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_finite, check_real
-from .factorize import _unit_scaled
-from .tensors import Waveform
+from .tensors import Waveform, shifted, unit_scaled
 
 
 def _samples(x):
@@ -40,11 +39,10 @@ def neg_pearson_loss(pred, gt):
     if x.size < 3:
         raise DomainError("neg_pearson_loss needs at least 3 samples")
 
-    # r is scale-free, so it is computed on x / 2^ex and y / 2^ey, where
-    # no sum of squares over- or underflows; d r / d x is then the
+    # r is scale-free (see tensors.unit_scaled); d r / d x is the
     # gradient in x / 2^ex divided by 2^ex
-    xs, ex = _unit_scaled(x)
-    ys, _ = _unit_scaled(y)
+    xs, ex = unit_scaled(x)
+    ys, _ = unit_scaled(y)
     xc = xs - xs.mean()
     yc = ys - ys.mean()
     sxx = float(xc @ xc)
@@ -56,7 +54,7 @@ def neg_pearson_loss(pred, gt):
     r = sxy / denom
     # d r / d x = yc / denom - r * xc / sxx  (mean-centering contributes
     # nothing because yc and xc both sum to zero)
-    grad = np.ldexp(-(yc / denom - r * xc / sxx), -ex)
+    grad = shifted(-(yc / denom - r * xc / sxx), -ex)
     return 1.0 - r, grad
 
 

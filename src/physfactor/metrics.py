@@ -12,9 +12,9 @@ power is the remaining in-band energy, and the ratio is clipped into
 [-20, 40] dB. Padding would smear a pure tone's energy across the band
 and hide the fact that its noise power is essentially zero.
 
-Every Pearson r here is taken on signals divided by the power of two at
-or below their largest magnitude: exact, so r is bitwise the unscaled
-one wherever that did not over- or underflow, and finite at any scale.
+Every Pearson r here is scale-free (see tensors.unit_scaled), and its
+sums are numpy's pairwise sums, not BLAS dot products, whose order
+depends on the BLAS kernel the CPU selects.
 
 MACC, the maximum absolute Pearson correlation over integer lags, scores
 every lag in one pass. Both signals are centred on their window means;
@@ -35,15 +35,13 @@ through the module's names, so a caller that rebinds them (a probe or a
 timer) sees every window.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, check_finite, check_int, check_real
-from .factorize import _exponent, _unit_scaled
-from .tensors import Waveform
+from .tensors import Waveform, shifted, unit_scaled
 
 MIN_DURATION_S = 10.0     # shortest signal the rate estimator accepts
 WINDOW_S = 30.0
@@ -181,14 +179,14 @@ def snr(pred, ref_rate, band):
 
 
 def _pearson(a, b):
-    a, _ = _unit_scaled(a)
-    b, _ = _unit_scaled(b)
+    a, _ = unit_scaled(a)
+    b, _ = unit_scaled(b)
     ac = a - _mean(a)
     bc = b - _mean(b)
-    denom = np.sqrt(float(ac @ ac) * float(bc @ bc))
+    denom = np.sqrt(float(np.add.reduce(ac * ac)) * float(np.add.reduce(bc * bc)))
     if denom == 0.0:
         return 0.0
-    return float(ac @ bc) / denom
+    return float(np.add.reduce(ac * bc)) / denom
 
 
 def _overlap(x, y, lag):
@@ -280,16 +278,14 @@ def macc(pred, gt, max_lag_s=None):
         check_real(max_lag_s, "max_lag_s", ge=0)
     max_lag = int(round(min(max_lag_s * pred.fs, x.size - 3)))
     v = np.array((x, y))
-    top, bottom = v.max(axis=1).tolist(), v.min(axis=1).tolist()
-    if max_lag < 0 or top[0] == bottom[0] or top[1] == bottom[1]:
+    top, bottom = v.max(axis=1, keepdims=True), v.min(axis=1, keepdims=True)
+    if max_lag < 0 or (top == bottom).any():
         # no overlap of 3 samples, or a constant signal: r = 0 at every lag
         return 0.0
-    # each row divided by the power of two at or below its peak, as
-    # _unit_scaled does: exact, so the peaks land in [1, 2)
-    peaks = [max(hi, -lo) for hi, lo in zip(top, bottom)]
-    exps = [_exponent(p) for p in peaks]
-    r, slack = _lagged_abs_pearson(np.ldexp(v, np.array([[-e] for e in exps], dtype=np.intc)),
-                                   [math.ldexp(p, -e) for p, e in zip(peaks, exps)], max_lag)
+    # each row divided by the power of two at or below its own peak
+    peaks = np.maximum(top, -bottom)
+    v, e = unit_scaled(v, peaks)
+    r, slack = _lagged_abs_pearson(v, shifted(peaks, -e)[:, 0], max_lag)
     # a NaN cutoff keeps every lag, which falls back to the full loop
     contenders = np.flatnonzero(~(r + slack < np.max(r - slack))) - max_lag
     best = 0.0

@@ -19,9 +19,12 @@ def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, h
     check_real(duration_s, "duration_s", ge=1.0)
     check_real(harmonic_ratio, "harmonic_ratio")
     check_real(noise_sigma, "noise_sigma", ge=0)
+    f0 = rate_bpm / 60.0
+    top = 2 * f0 if harmonic_ratio else f0    # the highest tone
+    if not top < fs / 2:
+        raise DomainError(f"a {top:g} Hz tone aliases at sampling rate fs = {fs:g} Hz; fs must exceed {2 * top:g} Hz")
     n = int(round(fs * duration_s))
     t = np.arange(n) / fs
-    f0 = rate_bpm / 60.0
     x = np.sin(2 * np.pi * f0 * t) + harmonic_ratio * np.sin(2 * np.pi * 2 * f0 * t)
     if noise_sigma > 0:
         x = x + noise_sigma * np.random.default_rng(seed).normal(size=n)

@@ -9,8 +9,12 @@ The containers hold read-only views. An input that is already a
 C-contiguous float64 array is not copied: the container's view cannot
 write to it, but the caller's own array stays writeable, and what the
 caller writes there shows through the view.
+
+`unit_scaled` is the package's one power-of-two scaling rule, used by
+every scale-free computation (solvers, Pearson's r, cosines, norms).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,8 @@ from .errors import DomainError, check_finite, check_real
 
 
 def _freeze(arr, ndim, name):
+    if np.iscomplexobj(arr):
+        raise DomainError(f"{name} expects real values, got a complex array")
     # a view, so that clearing its flag leaves the caller's array writeable
     a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64)).view()
     if a.ndim != ndim:
@@ -27,6 +33,34 @@ def _freeze(arr, ndim, name):
         raise DomainError(f"{name} extents must all be >= 1, got {a.shape}")
     a.flags.writeable = False
     return a
+
+
+def pow2_exponent(peak):
+    """e with 2^e the power of two at or below peak >= 0, and 0 where the
+    peak is 0: an int for a real scalar, an integer array for an ndarray."""
+    if isinstance(peak, np.ndarray):    # np.frexp's exponent of 0 is 0
+        return np.frexp(peak)[1] - (peak > 0)
+    return math.frexp(peak)[1] - 1 if peak > 0 else 0
+
+
+def shifted(a, k):
+    """a * 2^k rounded once; a itself when every k is 0. k is an int or
+    an integer array that broadcasts against a."""
+    return np.ldexp(a, k) if np.any(k) else a
+
+
+def unit_scaled(a, peak=None):
+    """(a / 2^e, e) with e = pow2_exponent(peak), peak max |a| by default;
+    peaks per row or per column, shaped to broadcast against a, give one
+    e per slice. The division puts each peak in [1, 2) and is exact,
+    except for entries more than 2^1022 below their peak, so a
+    scale-free result computed on a / 2^e is bit for bit the unscaled
+    one wherever that did not over- or underflow, and finite at any
+    scale."""
+    if peak is None:
+        peak = max(a.max(), -a.min())
+    e = pow2_exponent(peak)
+    return shifted(a, -e), e
 
 
 @dataclass(frozen=True)
@@ -153,6 +187,11 @@ def instance_norm(eps, epsilon=1e-5):
     (t, c*a*b) matrix, then over the a*b pixels of each channel. They
     differ from x.mean and x.var over axes (0, 2, 3) only in rounding.
 
+    A channel peaking at 2^e >= 2 is normalized as x / 2^e with epsilon
+    / 4^e (see unit_scaled), which gives the same result where nothing
+    over- or underflows, so the variance stays finite at any scale.
+    Smaller channels are not scaled.
+
     Args:
         eps: input embedding.
         epsilon: variance guard added under the square root, finite and > 0.
@@ -164,13 +203,21 @@ def instance_norm(eps, epsilon=1e-5):
     x = eps.data
     t, c = x.shape[:2]
     n = x.size // c
+    e = 0
+    if max(x.max(), -x.min()) >= 2.0:
+        m = x.reshape(t, -1)
+        peaks = np.maximum(m.max(axis=0), -m.min(axis=0)).reshape(c, -1).max(axis=1)
+        x, e = unit_scaled(x, np.maximum(peaks, 1.0)[:, None, None])
 
     def channel_mean(y):
         return y.reshape(t, -1).sum(axis=0).reshape(c, -1).sum(axis=1)[:, None, None] / n
 
     d = x - channel_mean(x)
-    var = channel_mean(d * d)
-    d /= np.sqrt(var + epsilon)
+    root = np.sqrt(channel_mean(d * d) + shifted(epsilon, -2 * e))
+    # epsilon / 4^e underflows to 0 for a channel peaking beyond about
+    # 2^530; one whose variance is then 0 too is constant, so its d is 0
+    root[root == 0] = 1.0
+    d /= root
     return VoxelEmbedding(d)
 
 

@@ -316,6 +316,27 @@ def test_attend_rejects_wrong_ndim(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _write_binary(path):
+    path.write_bytes(b"\x93NUMPY\x00\xff\xfe\x80 not text")
+
+
+@pytest.mark.parametrize("command, write, code", [
+    ("factorize", _write_binary, 2),
+    ("attend", _write_binary, 2),
+    ("attend", lambda p: p.write_bytes(b""), 2),
+    ("attend", lambda p: np.save(p, np.array([1.0, "a", None], dtype=object), allow_pickle=True), 2),
+    ("attend", lambda p: np.save(p, np.ones((20, 1, 2, 2)) * (1 + 2j)), 1),
+], ids=["factorize-binary", "attend-binary", "attend-empty", "attend-object-array", "attend-complex"])
+def test_input_files_that_are_not_real_arrays_exit_without_traceback(tmp_path, capsys, command, write, code):
+    # np.load's ValueError and the CSV reader's UnicodeDecodeError ended
+    # in tracebacks, and a complex array was read as its real part
+    path = tmp_path / "input.npy"
+    write(path)
+    assert main([command, "--input", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -------------------------------------------------------- bench and forward
 
 
@@ -473,11 +494,17 @@ def test_config_requires_an_action(capsys):
     (["demo-forward", "--frames", "40"], "[model]\nbvp_channels =\n"),
     (["factorize"], "[attention]\nvariant = xx\n"),
     (["factorize"], "[model]\nattention_index = 7\n"),
+    (["factorize", "--demo-shape", "3,-2"], None),
+    (["attend", "--n-planted", "-1"], None),
+    (["synth", "--fs", "1", "--rate", "72"], None),
 ], ids=["factorize-seed", "attend-seed", "config-seed", "synth-fs-nan", "synth-fs-inf", "attend-fs-0",
         "metrics-pad-factor", "rsp-stride-0", "bvp-channels-0", "spatial-kernel-0", "temporal-kernel-even",
-        "bvp-channels-empty", "attention-variant", "attention-index"])
+        "bvp-channels-empty", "attention-variant", "attention-index", "demo-shape-negative",
+        "n-planted-negative", "synth-aliased-tone"])
 def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv, ini):
-    # each of these ended in a numpy or Python traceback
+    # each of these ended in a numpy or Python traceback, or exited 0
+    # after reinterpreting the argument: --n-planted -1 planted all but
+    # one voxel, and a 1.2 Hz tone was written at fs = 1 Hz
     sig = tmp_path / "sig.csv"
     _write_tone_csv(sig, [72.0])
     argv = list(argv)

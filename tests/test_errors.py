@@ -151,7 +151,8 @@ def _wave(n=50):
 # (site, the parameter's name in the error, a call taking the value,
 # values accepted at or next to the boundary, values refused there)
 _REAL_SITES = [
-    ("gen_pulse fs", "fs", lambda v: gen_pulse(v, 72.0, 30.0), [1.0], [0.0]),
+    # a tone must lie below fs / 2: 1.2 Hz here, and the clip's 2.4 Hz harmonic
+    ("gen_pulse fs", "fs", lambda v: gen_pulse(v, 72.0, 30.0), [np.nextafter(2.4, 3.0)], [2.4, 1.0, 0.0]),
     ("gen_pulse rate", "rate_bpm", lambda v: gen_pulse(25.0, v, 30.0), [30.0, 220.0], [29.99, 220.01]),
     ("gen_resp rate", "rate_bpm", lambda v: gen_resp(25.0, v, 30.0), [4.0, 40.0], [3.99, 40.01]),
     ("gen_pulse duration", "duration_s", lambda v: gen_pulse(25.0, 72.0, v), [1.0], [0.999]),
@@ -159,7 +160,7 @@ _REAL_SITES = [
     # a negative ratio flips the harmonic's phase, so no bound
     ("gen_pulse harmonic_ratio", "harmonic_ratio", lambda v: gen_pulse(25.0, 72.0, 30.0, harmonic_ratio=v),
      [-1.0, 0.0], []),
-    ("gen_clip fs", "fs", lambda v: gen_clip(4, 9, 1, fs=v), [0.1], [0.0]),
+    ("gen_clip fs", "fs", lambda v: gen_clip(4, 9, 1, fs=v), [np.nextafter(4.8, 5.0)], [4.8, 0.1, 0.0]),
     ("gen_clip noise", "noise_sigma", lambda v: gen_clip(4, 9, 1, noise_sigma=v), [0.0], [-1e-300]),
     ("PlantSpec noise", "noise_sigma", lambda v: PlantSpec((50, 1, 1, 1), ((0, 0, 0),), _wave(), v),
      [0.0], [-1e-300]),

@@ -9,14 +9,13 @@ from physfactor.errors import DomainError
 from physfactor.factorize import (
     _BLOCK_ROWS,
     GrbfBasis,
-    _exponent,
     _row_blocks,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,
     target_basis,
 )
-from physfactor.tensors import EmbeddingMatrix
+from physfactor.tensors import EmbeddingMatrix, pow2_exponent
 
 
 def test_rank1_exact_example():
@@ -268,7 +267,7 @@ def _nmf_mu_loop(a, rank, iterations, seed):
 def _column_exponents(b):
     """The exponent of the power of two at or below each column's peak
     (0 for an all-zero column)."""
-    return np.array([_exponent(c.max()) for c in b.T])
+    return np.array([pow2_exponent(c.max()) for c in b.T])
 
 
 def _constrained_nmf_mu_loop(a, b, rank, iterations, seed):
@@ -373,7 +372,7 @@ def _assert_matches_loop(res, loop, a, b=None):
     assert np.array_equal(res.factors.h, h)
     assert np.array_equal(res.error_trace, trace)
     x = np.eye(a.shape[0]) if b is None else b
-    _assert_product_matches(res.low_rank, low, x, w, h, _exponent(a.max()), _exponent(x.max()))
+    _assert_product_matches(res.low_rank, low, x, w, h, pow2_exponent(a.max()), pow2_exponent(x.max()))
     # no sweep raises the error by more than rounding
     assert np.all(np.diff(trace) <= 1e-12 * np.linalg.norm(a))
 
@@ -524,17 +523,17 @@ def test_constrained_nmf_mu_blocks_match_dense_loop(data):
     assert np.max(np.abs(res.error_trace - trace)) <= 1e-12 * np.linalg.norm(a)
 
 
-def _block_gram_applies(b):
-    """Whether constrained_nmf_mu keeps one Gram per row block of b
-    rather than a dense B^T B: the blocks' spans hold fewer entries."""
-    return sum((cols.stop - cols.start) ** 2 for _, cols in _row_blocks(b)) < b.shape[1] ** 2
+def _distinct_spans(b):
+    """The distinct column spans of b's row blocks: constrained_nmf_mu
+    keeps one Gram per span."""
+    return {(cols.start, cols.stop) for _, cols in _row_blocks(b)}
 
 
 def test_multi_block_grbf_solve_matches_dense_gram_loop():
-    # 600 rows, 150 bumps: five row blocks of about 44 columns each, so
-    # the solve keeps the blocks' Grams apart
+    # 600 rows, 150 bumps: five row blocks of about 44 columns each,
+    # each over its own span, so the solve keeps five Grams
     g = grbf_basis(600, 2.0, 4)
-    assert len(_row_blocks(g)) == 5 and _block_gram_applies(g)
+    assert len(_row_blocks(g)) == 5 and len(_distinct_spans(g)) == 5
     a = np.random.default_rng(17).random((600, 12))
     res = constrained_nmf_mu(a, g, rank=8, iterations=6, seed=3)
     w, h, low, trace = _constrained_nmf_mu_loop(a, g.phi, 8, 6, 3)
@@ -548,8 +547,7 @@ def test_multi_block_grbf_solve_matches_dense_gram_loop():
 
 def _dense_gram_loop(a, b, rank, iterations, seed):
     # the solve on a dense B^T B, scattered from the row blocks' Grams,
-    # with B P formed block by block: constrained_nmf_mu as it ran
-    # before it kept the Grams apart, for a basis and V that need no
+    # with B P formed block by block, for a basis and V that need no
     # scaling (largest entries in [1, 2))
     rng = np.random.default_rng(seed)
     p = 1.0 - rng.random((b.shape[1], rank))
@@ -572,11 +570,12 @@ def _dense_gram_loop(a, b, rank, iterations, seed):
 
 
 def test_dense_tall_basis_keeps_the_dense_gram_bit_for_bit():
-    # every row block of a dense basis spans all its columns
+    # every row block of a dense basis spans all its columns, so the
+    # solve adds the blocks' Grams into one dense B^T B
     rng = np.random.default_rng(5)
     b = 1.0 + rng.random((300, 6))
     a = 1.0 + rng.random((300, 9))
-    assert len(_row_blocks(b)) == 3 and not _block_gram_applies(b)
+    assert len(_row_blocks(b)) == 3 and _distinct_spans(b) == {(0, 6)}
     res = constrained_nmf_mu(a, b, rank=4, iterations=5, seed=2)
     p, q, trace = _dense_gram_loop(a, b, 4, 5, 2)
     assert np.array_equal(res.factors.w, p)

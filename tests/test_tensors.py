@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -13,7 +15,10 @@ from physfactor.tensors import (
     flatten_to_matrix,
     hadamard,
     instance_norm,
+    pow2_exponent,
+    shifted,
     unflatten_to_voxel,
+    unit_scaled,
 )
 
 
@@ -136,6 +141,71 @@ def test_instance_norm_matches_per_axis_statistics(x):
     # a channel that is all zero stays exactly zero
     zero = ~x.any(axis=(0, 2, 3))
     assert not got[:, zero].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_inputs(), st.floats(-300.0, 300.0))
+@example(np.random.default_rng(0).normal(size=(100, 12, 2, 2)), 200.0)
+@example(np.full((1, 1, 1, 1), 0.125), 161.0)
+def test_instance_norm_finite_from_1e_minus300_to_1e300(x, decade):
+    # the variance overflowed to inf near 1e200, so every output was 0;
+    # and a constant channel beyond 2^530, where epsilon / 4^e is 0, must
+    # not divide 0 by 0
+    x = x * 10.0 ** decade
+    got = instance_norm(VoxelEmbedding(x)).data
+    assert np.all(np.isfinite(got))
+    varies = x.max(axis=(0, 2, 3)) > x.min(axis=(0, 2, 3))
+    assert got[:, varies].any(axis=0).all()
+    assert not got[:, ~x.any(axis=(0, 2, 3))].any()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# row r of SCALED has entries of magnitude 2^(EXPS[r] - 1)..2^EXPS[r],
+# from subnormal to near the largest float64
+EXPS = np.array([-1074, -1060, -1030, -1022, -1021, -300, -1, 0, 1, 52, 700, 1023])
+SCALED = np.ldexp(np.random.default_rng(4).uniform(-1.0, 1.0, (EXPS.size, 7)), EXPS[:, None])
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1], ids=["scalar", "per-column", "per-row"])
+def test_unit_scaled_matches_frexp_and_ldexp_bit_for_bit(axis):
+    a = SCALED if axis != 0 else SCALED.T
+    if axis is None:
+        peak = np.abs(a).max()
+        e = math.frexp(peak)[1] - 1
+        got, got_e = unit_scaled(a)
+        assert got_e == e and pow2_exponent(peak) == e
+        assert _bits(got) == _bits(np.ldexp(a, -e))
+        return
+    peaks = np.abs(a).max(axis=axis, keepdims=True)
+    e = np.vectorize(lambda p: math.frexp(p)[1] - 1)(peaks)
+    got, got_e = unit_scaled(a, peaks)
+    assert np.array_equal(got_e, e)
+    assert _bits(got) == _bits(np.ldexp(a, -e))
+    assert np.all((np.abs(got).max(axis=axis) >= 1.0) & (np.abs(got).max(axis=axis) < 2.0))
+
+
+def test_zero_shift_and_zero_peak():
+    a = np.array([[0.0, 0.0], [3.0, -5.0]])
+    assert shifted(a, 0) is a and shifted(a, np.zeros((2, 1), dtype=int)) is a
+    assert pow2_exponent(0.0) == 0
+    assert np.array_equal(pow2_exponent(np.array([0.0, 5.0, 2.0 ** -1074])), [0, 2, -1074])
+    got, e = unit_scaled(a, np.abs(a).max(axis=1, keepdims=True))
+    assert np.array_equal(e, [[0], [2]])
+    assert np.array_equal(got, [[0.0, 0.0], [0.75, -1.25]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: VoxelEmbedding(v.reshape(2, 1, 1, 1)),
+    lambda v: EmbeddingMatrix(v.reshape(2, 1)),
+    lambda v: Waveform(v, 25.0),
+], ids=["voxel", "matrix", "waveform"])
+def test_containers_refuse_complex_values(make):
+    # the imaginary part was dropped with numpy's ComplexWarning
+    with pytest.raises(DomainError, match="complex"):
+        make(np.array([1.0 + 2.0j, 3.0]))
 
 
 def test_instance_norm_needs_positive_epsilon():
