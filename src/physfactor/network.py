@@ -25,11 +25,20 @@ tap, so the whole clip is kt GEMMs over the input with no patch copy,
 and no more multiply-adds than the patch matrix. The per-tap loop both
 replaced is the oracle in the tests.
 
+The branches share nothing but their read-only weights, so
+`forward_multitask` runs the respiration branch on a worker thread while
+the calling thread runs the pulse branch; numpy and BLAS release the GIL
+for a branch's copies and GEMMs, so on two CPUs the two overlap. Each
+branch does the arithmetic it does alone, so the outputs are bit for bit
+those of two `_branch_forward` calls in a row.
+
 Weights are drawn once per `ModelConfig` from a seeded generator; there
 is no training here, determinism is all that matters.
 """
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -38,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
-from .errors import DomainError, check_finite, check_int
+from .errors import DomainError, check_finite, check_int, check_real
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 
@@ -306,7 +315,22 @@ def _resample_linear(x, length):
     return np.interp(np.arange(length), src, x)
 
 
+def _checked_target(target, frames, name):
+    """target as a finite real float64 vector of one sample per frame,
+    or None."""
+    if target is None:
+        return None
+    if np.iscomplexobj(target):
+        raise DomainError(f"{name} must be real, got a complex array")
+    t = check_finite(target, name).ravel()
+    if t.size != frames:
+        raise DomainError(f"{name} length {t.size} does not match {frames} frames")
+    return t
+
+
 def _branch_forward(clip, cfg, branch, target, fs):
+    """One branch's forward pass. target is None or what _checked_target
+    returns for the clip's frame count."""
     if not isinstance(clip, VideoClip):
         raise DomainError("branch forward expects a VideoClip")
     if clip.height != cfg.input_resolution:
@@ -332,12 +356,7 @@ def _branch_forward(clip, cfg, branch, target, fs):
         x = conv3d_forward(x, w, b, (stride, SPATIAL_STRIDE, SPATIAL_STRIDE), pad)
         x = VoxelEmbedding(np.maximum(x.data, 0.0))
         if i == cfg.attention_index and att_cfg is not None:
-            tgt = None
-            if target is not None:
-                t = np.asarray(target, dtype=np.float64).ravel()
-                if t.size != clip.frames:
-                    raise DomainError(f"target length {t.size} does not match {clip.frames} frames")
-                tgt = _resample_linear(t, x.tau)
+            tgt = None if target is None else _resample_linear(target, x.tau)
             x = compute_attention(x, att_cfg, tgt).excited
 
     pooled = x.data.mean(axis=(2, 3))              # (t', c)
@@ -353,17 +372,53 @@ def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25
     With both modalities the pulse branch reads RGB and the respiration
     branch reads thermal; with a single modality both branches share it.
 
+    The arguments are checked before either branch starts: each modality
+    given must be a VideoClip, fs a finite real > 0, and each target
+    given must be real, finite and hold one sample per frame, whether or
+    not its branch's attention reads it.
+
+    The respiration branch runs on a worker thread while this thread
+    runs the pulse branch; each output is bit for bit its branch run
+    alone. Both branches finish before the call returns or raises, and
+    the error is the one the serial order gives: the pulse branch's if it
+    fails, else the respiration branch's. The weights are drawn here,
+    before the worker starts.
+
     Returns:
         (pulse Waveform, respiration Waveform), each of length T.
     """
     if rgb is None and thermal is None:
         raise DomainError("forward_multitask needs at least one modality")
+    for name, clip in (("rgb", rgb), ("thermal", thermal)):
+        if clip is not None and not isinstance(clip, VideoClip):
+            raise DomainError(f"{name} must be a VideoClip, got {type(clip).__name__}")
     if rgb is not None and thermal is not None and rgb.frames != thermal.frames:
         raise DomainError(
             f"frame count mismatch between modalities: {rgb.frames} vs {thermal.frames}"
         )
     bvp_clip = rgb if rgb is not None else thermal
     rsp_clip = thermal if thermal is not None else rgb
-    pulse = _branch_forward(bvp_clip, cfg, "bvp", bvp_target, fs)
-    resp = _branch_forward(rsp_clip, cfg, "rsp", rsp_target, fs)
-    return pulse, resp
+    fs = check_real(fs, "fs", gt=0)
+    bvp_target = _checked_target(bvp_target, bvp_clip.frames, "bvp_target")
+    rsp_target = _checked_target(rsp_target, rsp_clip.frames, "rsp_target")
+    cfg.weights    # drawn in this thread: cached_property need not lock
+    rsp = {}
+
+    def respiration():
+        try:
+            rsp["wave"] = _branch_forward(rsp_clip, cfg, "rsp", rsp_target, fs)
+        except Exception as err:    # raised below, once the pulse branch is done
+            rsp["error"] = err
+
+    # the worker runs in a copy of this thread's context, so numpy's error
+    # state (np.errstate) holds in both branches; that needs numpy 2, where
+    # the error state is a context variable rather than per-thread state
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(respiration,))
+    worker.start()
+    try:
+        pulse = _branch_forward(bvp_clip, cfg, "bvp", bvp_target, fs)
+    finally:
+        worker.join()
+    if "error" in rsp:
+        raise rsp["error"]
+    return pulse, rsp["wave"]

@@ -1,3 +1,5 @@
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from physfactor.network import (
     param_count,
 )
 from physfactor.synth import gen_clip, gen_pulse, gen_resp
-from physfactor.tensors import VoxelEmbedding
+from physfactor.tensors import VoxelEmbedding, Waveform
 
 
 def _naive_conv3d(x, w, bias, strides, padding):
@@ -416,7 +418,7 @@ def test_attention_inside_branches():
     assert pulse.samples.size == 80
     assert resp.samples.size == 80
     with pytest.raises(DomainError):
-        network._branch_forward(clip, cfg, "bvp", target[:-1], 25.0)
+        forward_multitask(clip, None, cfg, target[:-1], target)
     with pytest.raises(DomainError):
         network._branch_forward(clip, cfg, "bvp", None, 25.0)  # tsfm without target
 
@@ -497,6 +499,8 @@ def test_param_count_is_the_shape_formula(cfg, count):
 
 
 def test_weights_are_drawn_once_and_only_on_first_use(monkeypatch):
+    # the first forward runs its branches on two threads, which must not
+    # both draw
     draws = []
     draw = network._init_branch
     monkeypatch.setattr(network, "_init_branch", lambda cfg, branch: draws.append(branch) or draw(cfg, branch))
@@ -510,3 +514,114 @@ def test_weights_are_drawn_once_and_only_on_first_use(monkeypatch):
     assert sorted(draws) == ["bvp", "rsp"]
     for a, b in zip(first, second):
         assert np.array_equal(a.samples, b.samples)
+
+
+def _count_conv_calls(monkeypatch):
+    calls = []
+    conv = network.conv3d_forward
+    monkeypatch.setattr(network, "conv3d_forward", lambda *a, **k: calls.append(1) or conv(*a, **k))
+    return calls
+
+
+def _with_nan(samples):
+    out = np.array(samples)
+    out[7] = np.nan
+    return out
+
+
+_PULSE_40 = gen_pulse(25.0, 72.0, 1.6).samples    # 40 samples
+_FSAM_72 = load_run_config().model_config()       # fsam on both branches
+_GRBF_9 = ModelConfig(input_resolution=9, bvp_attention=AttentionConfig("grbf"))
+
+# (config, clip resolution, forward_multitask keyword arguments, the
+# argument the error names); the fsam and grbf attention never read the
+# target, so a NaN passed through, a complex target was cast with its
+# imaginary part dropped, and fs = nan failed only after both branches;
+# a bare array for a modality must be named before its .frames is read
+_BAD_ARGUMENTS = {
+    "ndarray-rgb": (_FSAM_72, 72, dict(rgb=np.zeros((40, 3, 72, 72))), "rgb"),
+    "ndarray-thermal": (_FSAM_72, 72, dict(thermal=np.zeros((40, 1, 72, 72))), "thermal"),
+    "nan-target-fsam": (_FSAM_72, 72, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),
+    "nan-target-grbf-9px": (_GRBF_9, 9, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),
+    "complex-target": (_FSAM_72, 72, dict(rsp_target=_PULSE_40 + 1j), "rsp_target"),
+    "nan-fs": (_FSAM_72, 72, dict(fs=float("nan")), "fs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_ARGUMENTS))
+def test_forward_checks_its_arguments_before_either_branch_starts(monkeypatch, name):
+    cfg, resolution, kwargs, arg = _BAD_ARGUMENTS[name]
+    clip = gen_clip(40, resolution, 3, seed=1)
+    calls = _count_conv_calls(monkeypatch)
+    with pytest.raises(DomainError, match=arg):
+        forward_multitask(**{"rgb": clip, "thermal": None, "cfg": cfg, **kwargs})
+    assert calls == []
+
+
+def _forward_case(name):
+    """(config, rgb, thermal, bvp target, rsp target) of a forward case."""
+    if name == "rgb-72px":
+        return _FSAM_72, gen_clip(40, 72, 3, seed=5), None, None, None
+    cfg = ModelConfig(input_resolution=9, input_channels=4, seed=3,
+                      bvp_attention=AttentionConfig("grbf"), rsp_attention=AttentionConfig("tsfm"))
+    return (cfg, gen_clip(120, 9, 3, seed=7), gen_clip(120, 9, 1, seed=8),
+            gen_pulse(25.0, 72.0, 4.8).samples, gen_resp(25.0, 15.0, 4.8).samples)
+
+
+@pytest.mark.parametrize("case", ["rgb-72px", "rgb-thermal-9px-grbf-tsfm"])
+def test_forward_equals_two_serial_branch_calls_bit_for_bit(monkeypatch, case):
+    # the respiration branch runs on a worker thread; each output is bit
+    # for bit its branch run alone
+    cfg, rgb, thermal, bvp_target, rsp_target = _forward_case(case)
+    rsp_clip = rgb if thermal is None else thermal
+    want = (network._branch_forward(rgb, cfg, "bvp", bvp_target, 25.0),
+            network._branch_forward(rsp_clip, cfg, "rsp", rsp_target, 25.0))
+    threads = {}
+    branch_forward = network._branch_forward
+
+    def recorded(clip, cfg, branch, target, fs):
+        threads[branch] = threading.get_ident()
+        return branch_forward(clip, cfg, branch, target, fs)
+
+    monkeypatch.setattr(network, "_branch_forward", recorded)
+    got = forward_multitask(rgb, thermal, cfg, bvp_target, rsp_target)
+    for g, w in zip(got, want):
+        assert _same_bits(g.samples, w.samples)
+    assert threads["bvp"] == threading.get_ident()
+    assert threads["rsp"] != threading.get_ident()
+
+
+def _fake_branches(monkeypatch, failing, seen):
+    """Replace _branch_forward with a stand-in that records each branch
+    once it is done and raises DomainError(branch) for the failing ones;
+    the respiration branch takes longer, so it is still running when
+    the pulse branch raises."""
+    def branch_forward(clip, cfg, branch, target, fs):
+        if branch == "rsp":
+            time.sleep(0.05)
+        seen.append((branch, np.geterr()["over"]))
+        if branch in failing:
+            raise DomainError(branch)
+        return Waveform(np.zeros(clip.frames), fs)
+
+    monkeypatch.setattr(network, "_branch_forward", branch_forward)
+
+
+@pytest.mark.parametrize("failing, raised", [(("bvp", "rsp"), "bvp"), (("rsp",), "rsp")],
+                         ids=["both-fail", "rsp-fails"])
+def test_concurrent_forward_raises_the_serial_error_once_both_branches_finish(monkeypatch, failing, raised):
+    seen = []
+    _fake_branches(monkeypatch, failing, seen)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match=f"^{raised}$"):
+        forward_multitask(gen_clip(8, 9, 3, seed=0), None, _small_cfg())
+    assert sorted(branch for branch, _ in seen) == ["bvp", "rsp"]
+    assert threading.active_count() == before
+
+
+def test_both_branches_run_under_the_callers_numpy_error_state(monkeypatch):
+    seen = []
+    _fake_branches(monkeypatch, (), seen)
+    with np.errstate(over="raise"):
+        forward_multitask(gen_clip(8, 9, 3, seed=0), None, _small_cfg())
+    assert sorted(seen) == [("bvp", "raise"), ("rsp", "raise")]
