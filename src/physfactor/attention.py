@@ -137,9 +137,7 @@ def csim_map(eps, target):
     with the target; the result lies in [0, 1] for any finite input.
     Zero traces map to 0 rather than dividing by zero.
     """
-    y = check_finite(target, "csim_map target").ravel()
-    if y.size != eps.tau:
-        raise DomainError(f"target length {y.size} does not match tau = {eps.tau}")
+    y = check_finite(target, "csim_map target", size=eps.tau)
     x = check_finite(eps.data, "csim_map embedding")
     ymax = np.max(np.abs(y))
     if ymax == 0.0:

@@ -56,11 +56,23 @@ def check_real(value, name, gt=None, ge=None, lt=None, le=None):
     return out
 
 
-def check_finite(a, name):
-    """a as a float64 array (not copied when it is one); DomainError,
-    naming the first non-finite entry and its index, unless every entry
-    is finite."""
-    a = np.asarray(a, dtype=np.float64)
+def real_array(a, name):
+    """a as a float64 array (not copied when it is one). A complex array
+    is refused with DomainError: the cast would drop its imaginary part."""
+    if np.iscomplexobj(a):
+        raise DomainError(f"{name} must be real, got a complex array")
+    return np.asarray(a, dtype=np.float64)
+
+
+def check_finite(a, name, size=None):
+    """a as a real float64 array (see real_array), raveled to a vector
+    of size entries when size is given; DomainError, naming the first
+    non-finite entry and its index, unless every entry is finite."""
+    a = real_array(a, name)
+    if size is not None:
+        a = a.ravel()
+        if a.size != size:
+            raise DomainError(f"{name} must hold {size} entries, got {a.size}")
     finite = np.isfinite(a)
     if not finite.all():
         where = np.argwhere(~finite)[0]

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, check_finite, check_int, check_real
+from .errors import DomainError, check_finite, check_int, check_real, real_array
 from .tensors import EmbeddingMatrix, Waveform, pow2_exponent, shifted, unit_scaled
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
@@ -201,7 +201,7 @@ def _shift_pair(x, y, ex, ey):
 def _nonneg_matrix(v, name):
     """The input as a float64 matrix divided by 2^e, the power of two at
     or below its largest entry, and e (see tensors.unit_scaled)."""
-    a = v.data if isinstance(v, EmbeddingMatrix) else np.asarray(v, dtype=np.float64)
+    a = v.data if isinstance(v, EmbeddingMatrix) else real_array(v, f"{name} input")
     if a.ndim != 2:
         raise DomainError(f"{name} expects a 2D matrix")
     return unit_scaled(a, _check_nonneg(a, f"{name} input"))
@@ -316,7 +316,7 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         b, eb = basis, 0
         blocks = [(rows, cols, _band_block(b, rows, cols)) for rows, cols in _row_blocks(b)]
     else:
-        b = np.asarray(basis, dtype=np.float64)
+        b = real_array(basis, "constraint basis")
         if b.ndim == 1:
             b = b[:, None]
         _check_nonneg(b, "constraint basis")
@@ -424,9 +424,8 @@ def target_basis(y, m):
     A constant signal is rejected, it would make the constrained
     factorization degenerate, and so is a non-finite one.
     """
-    y = check_finite(y.samples if isinstance(y, Waveform) else y, "target signal").ravel()
-    if y.size != check_int(m, "target_basis m"):
-        raise DomainError(f"target length {y.size} does not match m = {m}")
+    y = check_finite(y.samples if isinstance(y, Waveform) else y, "target signal",
+                     size=check_int(m, "target_basis m"))
     lo, hi = y.min(), y.max()
     if hi == lo:
         raise DomainError("target signal is constant, cannot build a constraint")

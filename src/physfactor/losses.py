@@ -13,9 +13,12 @@ from .errors import DomainError, check_finite, check_real
 from .tensors import Waveform, shifted, unit_scaled
 
 
-def _samples(x):
-    """The samples of a Waveform or vector; DomainError unless finite."""
-    return check_finite(x.samples if isinstance(x, Waveform) else x, "loss input").ravel()
+def _samples(pred, gt):
+    """The samples of pred and gt, each a Waveform or vector, as two
+    finite float64 vectors of equal length; DomainError otherwise."""
+    x, y = (v.samples if isinstance(v, Waveform) else v for v in (pred, gt))
+    x = check_finite(x, "pred").ravel()
+    return x, check_finite(y, "gt", size=x.size)
 
 
 def neg_pearson_loss(pred, gt):
@@ -32,10 +35,7 @@ def neg_pearson_loss(pred, gt):
     Returns:
         (loss, grad) where grad is d loss / d pred, same length as pred.
     """
-    x = _samples(pred)
-    y = _samples(gt)
-    if x.size != y.size:
-        raise DomainError(f"length mismatch: {x.size} vs {y.size}")
+    x, y = _samples(pred, gt)
     if x.size < 3:
         raise DomainError("neg_pearson_loss needs at least 3 samples")
 
@@ -71,10 +71,7 @@ def smooth_l1_loss(pred, gt):
         (loss, grad) with grad = d loss / d pred. DomainError where a
         difference or the loss lies beyond float64's range.
     """
-    x = _samples(pred)
-    y = _samples(gt)
-    if x.size != y.size:
-        raise DomainError(f"length mismatch: {x.size} vs {y.size}")
+    x, y = _samples(pred, gt)
     with np.errstate(over="ignore"):
         d = x - y
         ad = np.abs(d)
@@ -125,8 +122,8 @@ def fd_gradient_check(loss_kind, point, step=1e-5):
         raise DomainError(f"unknown loss kind {loss_kind!r}")
     check_real(step, "step", gt=0)
     fn = _LOSSES[loss_kind]
-    x = _samples(point[0]).copy()
-    y = _samples(point[1])
+    x, y = _samples(point[0], point[1])
+    x = x.copy()
     _, grad = fn(x, y)
 
     max_rel = 0.0

@@ -297,7 +297,7 @@ def macc(pred, gt, max_lag_s=None):
 
 
 def _avg_se(terms):
-    terms = np.asarray(terms, dtype=np.float64)
+    terms = np.asarray(terms)
     n = terms.size
     se = float(terms.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(terms.mean()), se
@@ -321,11 +321,9 @@ def error_metrics(preds, gts):
         MetricsReport with the four error metrics filled in.
     """
     p = check_finite(preds, "error_metrics preds").ravel()
-    g = check_finite(gts, "error_metrics gts").ravel()
+    g = check_finite(gts, "error_metrics gts", size=p.size)
     if p.size == 0:
         raise DomainError("error_metrics needs at least one pair")
-    if p.size != g.size:
-        raise DomainError(f"length mismatch: {p.size} vs {g.size}")
     if np.any(g == 0):
         raise DomainError("zero ground-truth rate makes MAPE undefined")
     d = p - g

@@ -48,7 +48,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .attention import AttentionConfig, compute_attention
 from .errors import DomainError, check_finite, check_int, check_real
-from .tensors import VideoClip, VoxelEmbedding, Waveform
+from .tensors import CLIP_CHANNELS, CLIP_SIDES, VideoClip, VoxelEmbedding, Waveform
 
 
 # Every conv block halves both spatial axes.
@@ -86,10 +86,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if check_int(self.input_resolution, "input_resolution") not in (9, 36, 72):
-            raise DomainError(f"input_resolution must be 9, 36 or 72, got {self.input_resolution}")
-        if check_int(self.input_channels, "input_channels") not in (1, 3, 4):
-            raise DomainError(f"input_channels must be 1, 3 or 4, got {self.input_channels}")
+        if check_int(self.input_resolution, "input_resolution") not in CLIP_SIDES:
+            raise DomainError(f"input_resolution must be one of {CLIP_SIDES}, got {self.input_resolution}")
+        if check_int(self.input_channels, "input_channels") not in CLIP_CHANNELS:
+            raise DomainError(f"input_channels must be one of {CLIP_CHANNELS}, got {self.input_channels}")
         for name in ("bvp_channels", "rsp_channels", "rsp_temporal_strides"):
             value = getattr(self, name)
             if np.ndim(value) != 1 or len(value) == 0:
@@ -315,24 +315,9 @@ def _resample_linear(x, length):
     return np.interp(np.arange(length), src, x)
 
 
-def _checked_target(target, frames, name):
-    """target as a finite real float64 vector of one sample per frame,
-    or None."""
-    if target is None:
-        return None
-    if np.iscomplexobj(target):
-        raise DomainError(f"{name} must be real, got a complex array")
-    t = check_finite(target, name).ravel()
-    if t.size != frames:
-        raise DomainError(f"{name} length {t.size} does not match {frames} frames")
-    return t
-
-
 def _branch_forward(clip, cfg, branch, target, fs):
-    """One branch's forward pass. target is None or what _checked_target
-    returns for the clip's frame count."""
-    if not isinstance(clip, VideoClip):
-        raise DomainError("branch forward expects a VideoClip")
+    """One branch's forward pass on a VideoClip; target is None or a finite
+    vector of one sample per frame (forward_multitask checks both)."""
     if clip.height != cfg.input_resolution:
         raise DomainError(
             f"clip resolution {clip.height} does not match config {cfg.input_resolution}"
@@ -399,8 +384,10 @@ def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25
     bvp_clip = rgb if rgb is not None else thermal
     rsp_clip = thermal if thermal is not None else rgb
     fs = check_real(fs, "fs", gt=0)
-    bvp_target = _checked_target(bvp_target, bvp_clip.frames, "bvp_target")
-    rsp_target = _checked_target(rsp_target, rsp_clip.frames, "rsp_target")
+    if bvp_target is not None:
+        bvp_target = check_finite(bvp_target, "bvp_target", size=bvp_clip.frames)
+    if rsp_target is not None:
+        rsp_target = check_finite(rsp_target, "rsp_target", size=rsp_clip.frames)
     cfg.weights    # drawn in this thread: cached_property need not lock
     rsp = {}
 

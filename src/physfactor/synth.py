@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_finite, check_int, check_real
 from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 PULSE_RATE_RANGE = (30.0, 220.0)     # plausible heart rates, beats/min
@@ -92,9 +92,7 @@ def gen_planted_embedding(spec):
         (VoxelEmbedding, boolean mask array over (kappa, alpha, beta)).
     """
     tau, kappa, alpha, beta = spec.shape
-    y = spec.signal.samples
-    if y.size != tau:
-        raise DomainError(f"signal length {y.size} does not match tau = {tau}")
+    y = check_finite(spec.signal.samples, "planted signal", size=tau)
     peak = np.abs(y).max()
     if peak == 0:
         raise DomainError("planted signal is all zeros")

@@ -5,8 +5,9 @@ spatial axes). The factorization solvers operate on a 2D view where time
 maps to rows and the (c, a, b) triple maps to columns in row-major
 order, so flatten/unflatten are exact inverses by construction.
 
-The containers hold read-only views. An input that is already a
-C-contiguous float64 array is not copied: the container's view cannot
+The containers hold read-only views and refuse complex input (see
+errors.real_array). An input that is already a C-contiguous float64
+array is not copied: the container's view cannot
 write to it, but the caller's own array stays writeable, and what the
 caller writes there shows through the view.
 
@@ -19,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_real
+from .errors import DomainError, check_finite, check_real, real_array
 
+# The square frame sides and the channel counts a VideoClip may have.
+CLIP_SIDES = (9, 36, 72)
+CLIP_CHANNELS = (1, 3, 4)
 
 def _freeze(arr, ndim, name):
-    if np.iscomplexobj(arr):
-        raise DomainError(f"{name} expects real values, got a complex array")
-    # a view, so that clearing its flag leaves the caller's array writeable
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64)).view()
+    # no finiteness scan, a full pass per conv block; a view, so that
+    # clearing its flag leaves the caller's array writeable
+    a = np.ascontiguousarray(real_array(arr, name)).view()
     if a.ndim != ndim:
         raise DomainError(f"{name} expects a {ndim}D array, got ndim={a.ndim}")
     if min(a.shape) < 1:
@@ -120,10 +123,10 @@ class VideoClip:
     def __post_init__(self):
         a = _freeze(self.data, 4, "VideoClip")
         t, c, h, w = a.shape
-        if c not in (1, 3, 4):
-            raise DomainError(f"VideoClip channels must be 1, 3 or 4, got {c}")
-        if h != w or h not in (9, 36, 72):
-            raise DomainError(f"VideoClip needs square frames of side 9, 36 or 72, got {h}x{w}")
+        if c not in CLIP_CHANNELS:
+            raise DomainError(f"VideoClip channels must be one of {CLIP_CHANNELS}, got {c}")
+        if h != w or h not in CLIP_SIDES:
+            raise DomainError(f"VideoClip needs square frames with a side in {CLIP_SIDES}, got {h}x{w}")
         if not (a.min() >= 0.0 and a.max() <= 1.0):    # NaN fails too
             raise DomainError("VideoClip values must lie in [0, 1]")
         object.__setattr__(self, "data", a)
@@ -190,7 +193,9 @@ def instance_norm(eps, epsilon=1e-5):
     A channel peaking at 2^e >= 2 is normalized as x / 2^e with epsilon
     / 4^e (see unit_scaled), which gives the same result where nothing
     over- or underflows, so the variance stays finite at any scale.
-    Smaller channels are not scaled.
+    Smaller channels are not scaled. When any is, a constant channel's
+    mean is set to its value, so it maps to 0: beyond about 2^45 the
+    rounding of the mean would dominate epsilon / 4^e and give +-1.
 
     Args:
         eps: input embedding.
@@ -203,16 +208,21 @@ def instance_norm(eps, epsilon=1e-5):
     x = eps.data
     t, c = x.shape[:2]
     n = x.size // c
-    e = 0
+    e, constant = 0, None
     if max(x.max(), -x.min()) >= 2.0:
         m = x.reshape(t, -1)
-        peaks = np.maximum(m.max(axis=0), -m.min(axis=0)).reshape(c, -1).max(axis=1)
-        x, e = unit_scaled(x, np.maximum(peaks, 1.0)[:, None, None])
+        hi = m.max(axis=0).reshape(c, -1).max(axis=1)
+        lo = m.min(axis=0).reshape(c, -1).min(axis=1)
+        constant = hi == lo
+        x, e = unit_scaled(x, np.maximum(np.maximum(hi, -lo), 1.0)[:, None, None])
 
     def channel_mean(y):
         return y.reshape(t, -1).sum(axis=0).reshape(c, -1).sum(axis=1)[:, None, None] / n
 
-    d = x - channel_mean(x)
+    mean = channel_mean(x)
+    if constant is not None:
+        mean[constant] = x[0, constant, :1, :1]
+    d = x - mean
     root = np.sqrt(channel_mean(d * d) + shifted(epsilon, -2 * e))
     # epsilon / 4^e underflows to 0 for a channel peaking beyond about
     # 2^530; one whose variance is then 0 too is constant, so its d is 0

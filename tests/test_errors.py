@@ -1,6 +1,8 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,9 @@ from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_los
 from physfactor.metrics import (
     HR_BAND, RateBand, error_metrics, estimate_rate_fft, macc, snr, split_windows,
 )
-from physfactor.network import ModelConfig, conv3d_forward
+from physfactor.network import ModelConfig, conv3d_forward, forward_multitask
 from physfactor.synth import PlantSpec, gen_clip, gen_pulse, gen_resp
-from physfactor.tensors import VoxelEmbedding, Waveform, instance_norm
+from physfactor.tensors import EmbeddingMatrix, VideoClip, VoxelEmbedding, Waveform, instance_norm
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 2**70])
@@ -109,6 +111,51 @@ def test_a_non_finite_sample_is_refused(n, data, value, call):
         _TAKES_A_VECTOR[call](bad, ok)
 
 
+def _clip():
+    return VideoClip(np.full((8, 3, 9, 9), 0.5))
+
+
+_S = 2.0 + np.sin(0.7 * np.arange(8))    # a valid signal of 8 samples
+
+# Every public entry point that takes an array, as (case, the name its
+# error gives the argument, a call passing a complex array for it); each
+# cast the imaginary part away with only numpy's ComplexWarning except the
+# containers and forward_multitask, which refused it by hand
+_TAKES_AN_ARRAY = [
+    ("nmf_mu", "nmf_mu input", lambda: nmf_mu(_v() + 1j, 2)),
+    ("constrained_nmf_mu", "constrained_nmf_mu input", lambda: constrained_nmf_mu(_v() + 1j, np.ones((6, 2)), 1)),
+    ("constrained_nmf_mu basis", "constraint basis", lambda: constrained_nmf_mu(_v(), np.ones((6, 2)) + 1j, 1)),
+    ("target_basis", "target signal", lambda: target_basis(_S + 1j, 8)),
+    ("csim_map", "csim_map target", lambda: csim_map(VoxelEmbedding(np.ones((8, 1, 2, 2))), _S + 1j)),
+    ("error_metrics preds", "error_metrics preds", lambda: error_metrics(_S + 1j, _S)),
+    ("error_metrics gts", "error_metrics gts", lambda: error_metrics(_S, _S + 1j)),
+    ("neg_pearson_loss pred", "pred", lambda: neg_pearson_loss(_S + 1j, _S)),
+    ("neg_pearson_loss gt", "gt", lambda: neg_pearson_loss(_S, _S + 1j)),
+    ("smooth_l1_loss pred", "pred", lambda: smooth_l1_loss(_S + 1j, _S)),
+    ("smooth_l1_loss gt", "gt", lambda: smooth_l1_loss(_S, _S + 1j)),
+    ("fd_gradient_check", "pred", lambda: fd_gradient_check("smooth_l1", (_S + 1j, _S))),
+    ("conv weights", "conv weights",
+     lambda: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), np.ones((1, 1, 1, 1, 1)) + 1j)),
+    ("conv bias", "conv bias",
+     lambda: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), np.ones((1, 1, 1, 1, 1)), bias=np.ones(1) + 1j)),
+    ("forward bvp_target", "bvp_target",
+     lambda: forward_multitask(_clip(), None, ModelConfig(input_resolution=9), bvp_target=_S + 1j)),
+    ("forward rsp_target", "rsp_target",
+     lambda: forward_multitask(_clip(), None, ModelConfig(input_resolution=9), rsp_target=_S + 1j)),
+    ("VoxelEmbedding", "VoxelEmbedding", lambda: VoxelEmbedding(np.ones((2, 1, 1, 1)) + 1j)),
+    ("EmbeddingMatrix", "EmbeddingMatrix", lambda: EmbeddingMatrix(np.ones((2, 1)) + 1j)),
+    ("VideoClip", "VideoClip", lambda: VideoClip(np.full((8, 3, 9, 9), 0.5) + 1j)),
+    ("Waveform", "Waveform", lambda: Waveform(_S + 1j, 25.0)),
+]
+
+
+@pytest.mark.parametrize("arg, call", [case[1:] for case in _TAKES_AN_ARRAY],
+                         ids=[case[0] for case in _TAKES_AN_ARRAY])
+def test_a_complex_array_is_refused_everywhere(arg, call):
+    with pytest.raises(DomainError, match=re.escape(f"{arg} must be real")):
+        call()
+
+
 @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), Fraction(2, 1), 2.0])
 def test_check_real_returns_a_python_float(value):
     out = check_real(value, "x", gt=0)
@@ -141,6 +188,16 @@ def test_check_finite_names_the_first_bad_entry():
         check_finite([0.0, 1.0, 2.0, np.nan, np.inf], "a")
     with pytest.raises(DomainError, match=r"a must be finite, got -inf at index \(1, 0\)"):
         check_finite([[0.0, 1.0], [-np.inf, np.nan]], "a")
+
+
+def test_check_finite_with_a_size_ravels_and_checks_the_length():
+    a = np.zeros((2, 3))
+    out = check_finite(a, "a", size=6)
+    assert out.shape == (6,) and np.shares_memory(out, a)
+    with pytest.raises(DomainError, match="a must hold 5 entries, got 6"):
+        check_finite(a, "a", size=5)
+    with pytest.raises(DomainError, match="a must be finite, got nan at index 4"):
+        check_finite([[0.0, 1.0], [2.0, 3.0], [np.nan, 5.0]], "a", size=6)
 
 
 def _wave(n=50):

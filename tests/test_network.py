@@ -544,6 +544,7 @@ _BAD_ARGUMENTS = {
     "nan-target-fsam": (_FSAM_72, 72, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),
     "nan-target-grbf-9px": (_GRBF_9, 9, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),
     "complex-target": (_FSAM_72, 72, dict(rsp_target=_PULSE_40 + 1j), "rsp_target"),
+    "short-target": (_FSAM_72, 72, dict(bvp_target=_PULSE_40[:39]), "bvp_target"),
     "nan-fs": (_FSAM_72, 72, dict(fs=float("nan")), "fs"),
 }
 

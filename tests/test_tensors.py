@@ -295,3 +295,24 @@ def test_containers_leave_the_callers_array_writeable(make, shape, field):
     assert held.flat[0] == 0.5
     with pytest.raises(ValueError, match="read-only"):
         held.flat[0] = 1.0
+
+
+_MAGNITUDES = st.floats(-300.0, 300.0).map(lambda decade: 10.0 ** decade)
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_inputs(), _MAGNITUDES, _MAGNITUDES, st.sampled_from((1.0, -1.0)))
+@example(np.zeros((7, 0, 2, 2)), 1.0, 5.606394622302311e19, 1.0)
+@example(np.zeros((7, 0, 2, 2)), 1.0, 1e200, 1.0)
+@example(np.zeros((7, 0, 2, 2)), 1.0, 7e30, -1.0)
+def test_instance_norm_maps_a_constant_channel_to_zero_at_any_magnitude(x, scale, magnitude, sign):
+    # the mean of equal entries rounds, and beyond a peak of about 2^45
+    # that residue dominated epsilon / 4^e: a (7, 1, 2, 2) channel of
+    # 5.606394622302311e19 gave 0.99999999999993, and 1e200 or -7e30 gave
+    # 1.0. Unscaled (every peak below 2) the residue stays within its
+    # rounding over sqrt(epsilon)
+    k = x.shape[1] // 2
+    x = np.insert(x * scale, k, sign * magnitude, axis=1)
+    got = instance_norm(VoxelEmbedding(x)).data
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got[:, k])) <= 1e-9
