@@ -6,7 +6,6 @@ from .attention import AttentionConfig, AttentionOutput, channel_mix_relu, compu
 from .errors import DomainError, InputFormatError
 from .factorize import (
     FactorizationResult,
-    FactorPair,
     GrbfBasis,
     constrained_nmf_mu,
     grbf_basis,
@@ -32,9 +31,8 @@ from .network import (
     forward_multitask,
     param_count,
 )
-from .synth import PlantSpec, gen_clip, gen_planted_embedding, gen_pulse, gen_resp
+from .synth import gen_clip, gen_planted_embedding, gen_pulse, gen_resp
 from .tensors import (
-    EmbeddingMatrix,
     VideoClip,
     VoxelEmbedding,
     Waveform,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_int
+from .errors import DomainError, check_finite, check_int, real_array
 from .factorize import (
     FactorizationResult,
     _grbf_params,
@@ -32,7 +32,6 @@ from .factorize import (
     target_basis,
 )
 from .tensors import (
-    EmbeddingMatrix,
     VoxelEmbedding,
     flatten_to_matrix,
     hadamard,
@@ -91,22 +90,23 @@ def solve(v, cfg, target=None):
     cfg.variant names; the only place the variants are told apart.
 
     Args:
-        v: EmbeddingMatrix, rows = time.
+        v: 2D array-like, rows = time; the solver checks it.
         cfg: AttentionConfig selecting the variant and solver knobs.
-        target: sample vector of length v.m; required by tsfm, ignored
-            by fsam and grbf.
+        target: sample vector of one sample per row; required by tsfm,
+            ignored by fsam and grbf.
 
     Returns:
         FactorizationResult (factors, low-rank product, error trace).
     """
     if cfg.variant == "fsam":
         return nmf_mu(v, cfg.rank, cfg.iterations, cfg.seed)
-    if cfg.variant == "grbf":
-        basis = grbf_basis(v.m, cfg.grbf_sigma, cfg.grbf_delta_t)
-    elif target is None:
+    if cfg.variant == "tsfm" and target is None:
         raise DomainError("tsfm needs a target signal")
-    else:
-        basis = target_basis(target, v.m)
+    v = real_array(v, "constrained_nmf_mu input")
+    basis = None    # the solver refuses a v that is no matrix before it reads the basis
+    if v.ndim == 2:
+        m = v.shape[0]
+        basis = grbf_basis(m, cfg.grbf_sigma, cfg.grbf_delta_t) if cfg.variant == "grbf" else target_basis(target, m)
     return constrained_nmf_mu(v, basis, cfg.rank, cfg.iterations, cfg.seed)
 
 
@@ -125,7 +125,7 @@ def compute_attention(eps, cfg, target=None):
     """
     pre = channel_mix_relu(eps)
     res = solve(flatten_to_matrix(pre), cfg, target)
-    back = unflatten_to_voxel(EmbeddingMatrix(res.low_rank), eps.shape)
+    back = unflatten_to_voxel(res.low_rank, eps.shape)
     attended = channel_mix_relu(back)
     return AttentionOutput(attended, excite(eps, attended), res)
 

@@ -24,7 +24,7 @@ from .config import ENV_CONFIG_PATH, defaults_text, load_run_config
 from .errors import DomainError, InputFormatError, check_int, check_real
 from .metrics import estimate_rate_fft, evaluate_windows
 from .network import forward_multitask, param_count
-from .tensors import EmbeddingMatrix, VoxelEmbedding, Waveform
+from .tensors import VoxelEmbedding, Waveform
 
 
 def dump_json(obj):
@@ -117,13 +117,12 @@ def cmd_factorize(args):
     else:
         m, n = _parse_shape(args.demo_shape, 2, "--demo-shape")
         v = np.random.default_rng(cfg.seed).random((m, n))
-    v = EmbeddingMatrix(v)
     res = solve(v, att_cfg, read_signal_csv(args.target) if args.target else None)
 
     _emit_report(args, {
         "variant": att_cfg.variant,
-        "m": v.m,
-        "n": v.n,
+        "m": v.shape[0],
+        "n": v.shape[1],
         "rank": att_cfg.rank,
         "iterations": att_cfg.iterations,
         "seed": cfg.seed,
@@ -172,8 +171,7 @@ def cmd_attend(args):
         ]
         rng.shuffle(coords)
         n_planted = min(check_int(args.n_planted, "--n-planted", 1), len(coords))
-        spec = synth.PlantSpec(shape, tuple(coords[:n_planted]), pulse, args.noise_sigma, cfg.seed)
-        eps, mask = synth.gen_planted_embedding(spec)
+        eps, mask = synth.gen_planted_embedding(shape, coords[:n_planted], pulse, args.noise_sigma, cfg.seed)
         target = pulse.samples
 
     out = compute_attention(eps, att_cfg, target)

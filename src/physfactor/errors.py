@@ -58,10 +58,15 @@ def check_real(value, name, gt=None, ge=None, lt=None, le=None):
 
 def real_array(a, name):
     """a as a float64 array (not copied when it is one). A complex array
-    is refused with DomainError: the cast would drop its imaginary part."""
-    if np.iscomplexobj(a):
-        raise DomainError(f"{name} must be real, got a complex array")
-    return np.asarray(a, dtype=np.float64)
+    is refused with DomainError, since the cast would drop its imaginary
+    part, and so is what the cast cannot take: a string, a ragged
+    nesting, a complex object, an integer beyond float64's range."""
+    try:
+        if not np.iscomplexobj(a):
+            return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be an array of real numbers ({exc})") from None
+    raise DomainError(f"{name} must be real, got a complex array")
 
 
 def check_finite(a, name, size=None):

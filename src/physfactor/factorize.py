@@ -47,22 +47,23 @@ B^T B is the sum of the blocks' Grams G_r = B_r^T B_r, each over its
 block's span of columns. The Grams of blocks that share a span are
 added into one, and each sweep forms B^T B P as the sum of G_s P[s] and
 P^T B^T B P as the sum of P[s]^T G_s P[s] over the distinct spans s.
-A basis of at most `_BLOCK_ROWS` rows, a one-column target basis and a
-dense tall basis have one span over every column, so their results are
-those of the dense products bit for bit; a grbf bank over several
-blocks (24 spans of about 44 columns against K = 750 at 3000 rows)
-agrees with them within rounding.
+Only a basis of at most `_BLOCK_ROWS` rows is one block, so only its
+results are those of the dense products bit for bit. A taller one-column
+target basis or dense basis has one span over every column, but its
+B^T B and B^T V are still summed block by block, and a grbf bank over
+several blocks has about one span per block (24 spans of about 44
+columns against K = 750 at 3000 rows); both agree with the dense
+products within rounding.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, check_finite, check_int, check_real, real_array
-from .tensors import EmbeddingMatrix, Waveform, pow2_exponent, shifted, unit_scaled
+from .tensors import Waveform, pow2_exponent, shifted, unit_scaled
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
 _BLOCK_ROWS = 128
@@ -76,16 +77,6 @@ _BUMP_CUT_REACH = math.sqrt(208.0 * math.log(2.0))
 
 # Lowest entry of a target_basis column, so no row of the tsfm basis is 0.
 TARGET_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class FactorPair:
-    """Non-negative factors. w is M x L (or K x L inner gains when a
-    basis is involved), h is L x N."""
-
-    w: np.ndarray
-    h: np.ndarray
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -111,8 +102,8 @@ class GrbfBasis:
     2 sigma^2 finite and non-zero in float64. k, reach (the largest
     offset from a centre whose entry is non-zero) and the read-only
     profile (the 2 reach + 1 entries at offsets -reach..reach) derive
-    from them, and `phi` builds the dense bank from the band on first
-    access, so the band and the bank cannot disagree.
+    from them. constrained_nmf_mu fills each row block from the profile
+    and never builds the dense bank.
     """
 
     m: int
@@ -142,18 +133,16 @@ class GrbfBasis:
         """(m, k), the dense bank's shape."""
         return (self.m, self.k)
 
-    @cached_property
-    def phi(self):
-        """The dense m x k bank, built from the band on first access
-        (C-contiguous, read-only)."""
-        phi = _band_block(self, slice(0, self.m), slice(0, self.k))
-        phi.flags.writeable = False
-        return phi
-
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    factors: FactorPair
+    """Read-only non-negative factors w and h, with low_rank = w @ h
+    (basis @ w @ h when a basis is involved, w then holding the K x L
+    inner gains), the error trace, one entry per sweep, and the
+    iteration count and seed the solve ran with."""
+
+    w: np.ndarray
+    h: np.ndarray
     low_rank: np.ndarray
     error_trace: np.ndarray
     iterations: int
@@ -161,7 +150,9 @@ class FactorizationResult:
 
 
 def _check_nonneg(a, name):
-    """Reject a negative or non-finite entry. Returns the largest entry."""
+    """Reject an empty array or a negative or non-finite entry. Returns the max."""
+    if a.size == 0:
+        raise DomainError(f"{name} must not be empty, got shape {a.shape}")
     amax = a.max()
     # written so that NaN fails the comparison
     if not a.min() >= 0 or amax == np.inf:
@@ -201,7 +192,7 @@ def _shift_pair(x, y, ex, ey):
 def _nonneg_matrix(v, name):
     """The input as a float64 matrix divided by 2^e, the power of two at
     or below its largest entry, and e (see tensors.unit_scaled)."""
-    a = v.data if isinstance(v, EmbeddingMatrix) else real_array(v, f"{name} input")
+    a = real_array(v, f"{name} input")
     if a.ndim != 2:
         raise DomainError(f"{name} expects a 2D matrix")
     return unit_scaled(a, _check_nonneg(a, f"{name} input"))
@@ -254,7 +245,7 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     low, trace = shifted(low, e), shifted(trace, e)
     for arr in (x, y, low, trace):
         arr.flags.writeable = False
-    return FactorizationResult(FactorPair(x, y, rank), low, trace, iterations, seed)
+    return FactorizationResult(x, y, low, trace, iterations, seed)
 
 
 def nmf_mu(v, rank, iterations=4, seed=0):
@@ -270,7 +261,7 @@ def nmf_mu(v, rank, iterations=4, seed=0):
     each full iteration and is non-increasing up to rounding.
 
     Args:
-        v: non-negative, finite EmbeddingMatrix or 2D array.
+        v: non-negative, finite 2D array-like.
         rank: number of components L, an integer 1 <= L <= min(M, N).
         iterations: full update sweeps, an integer >= 1.
         seed: RNG seed for the factor init, an integer >= 0.
@@ -301,7 +292,7 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
     row j of P carries 2^(e - eb_j) back (see the module docstring).
 
     Args:
-        v: non-negative, finite EmbeddingMatrix or 2D array (M x N).
+        v: non-negative, finite 2D array-like (M x N).
         basis: fixed non-negative M x K basis: a GrbfBasis, whose row
             blocks are filled from its band, or an array (bump bank or
             target column), which is checked and scanned.
@@ -391,9 +382,10 @@ def _row_blocks(b):
 
 
 def _band_block(g, rows, cols):
-    """g.phi[rows, cols], for unit-step slices whose every column has a
-    centre within reach of the rows (as _row_blocks gives them), as a
-    fresh C-contiguous array filled from the profile.
+    """Block [rows, cols] of the dense bank of GrbfBasis g, for unit-step
+    slices whose every column has a centre within reach of the rows (as
+    _row_blocks gives them, or the whole bank), as a fresh C-contiguous
+    array filled from the profile.
 
     Entry (r, j) is profile[r - j delta_t + reach], or 0 where that
     index falls outside the profile. With n rows and the profile padded
@@ -407,12 +399,9 @@ def _band_block(g, rows, cols):
     return np.ascontiguousarray(sliding_window_view(padded, n)[starts].T)
 
 
-def grbf_basis(m, sigma, delta_t):
-    """The M x K Gaussian radial bump bank, cut to 0 below 2^-104 of its
-    peak, as a band; see GrbfBasis. Only the 2 reach + 1 entries of one
-    bump are evaluated, and constrained_nmf_mu never builds the dense
-    bank `phi`."""
-    return GrbfBasis(m, sigma, delta_t)
+# The M x K bump bank as a band (see GrbfBasis), under the name that
+# attention.solve calls and the benchmark's tracing wraps.
+grbf_basis = GrbfBasis
 
 
 def target_basis(y, m):

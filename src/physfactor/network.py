@@ -316,25 +316,11 @@ def _resample_linear(x, length):
 
 
 def _branch_forward(clip, cfg, branch, target, fs):
-    """One branch's forward pass on a VideoClip; target is None or a finite
-    vector of one sample per frame (forward_multitask checks both)."""
-    if clip.height != cfg.input_resolution:
-        raise DomainError(
-            f"clip resolution {clip.height} does not match config {cfg.input_resolution}"
-        )
+    """One branch's forward pass on a VideoClip that fits it; target is
+    None or a finite vector of one sample per frame (forward_multitask
+    checks all of them)."""
     layers, head_w, head_b = cfg.weights[branch]
-    expected = layers[0][0].shape[1]
-    if clip.channels != expected:
-        raise DomainError(
-            f"{branch} branch expects {expected} channels, clip has {clip.channels}"
-        )
     att_cfg = cfg.bvp_attention if branch == "bvp" else cfg.rsp_attention
-    if branch == "rsp" and clip.frames % cfg.rsp_upsample_factor != 0:
-        raise DomainError(
-            f"frame count {clip.frames} not divisible by the temporal "
-            f"downsampling factor {cfg.rsp_upsample_factor}"
-        )
-
     x = VoxelEmbedding(clip.data)
     pad = (cfg.temporal_kernel // 2, cfg.spatial_kernel // 2, cfg.spatial_kernel // 2)
     for i, (w, b, stride) in enumerate(layers):
@@ -360,7 +346,10 @@ def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25
     The arguments are checked before either branch starts: each modality
     given must be a VideoClip, fs a finite real > 0, and each target
     given must be real, finite and hold one sample per frame, whether or
-    not its branch's attention reads it.
+    not its branch's attention reads it. Each branch's clip must have
+    the configured resolution and the channels its first block takes,
+    and the respiration clip a frame count that the product of its
+    temporal strides divides.
 
     The respiration branch runs on a worker thread while this thread
     runs the pulse branch; each output is bit for bit its branch run
@@ -388,7 +377,18 @@ def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25
         bvp_target = check_finite(bvp_target, "bvp_target", size=bvp_clip.frames)
     if rsp_target is not None:
         rsp_target = check_finite(rsp_target, "rsp_target", size=rsp_clip.frames)
-    cfg.weights    # drawn in this thread: cached_property need not lock
+    weights = cfg.weights    # drawn in this thread: cached_property need not lock
+    for branch, clip in (("bvp", bvp_clip), ("rsp", rsp_clip)):
+        if clip.height != cfg.input_resolution:
+            raise DomainError(f"clip resolution {clip.height} does not match config {cfg.input_resolution}")
+        expected = weights[branch][0][0][0].shape[1]
+        if clip.channels != expected:
+            raise DomainError(f"{branch} branch expects {expected} channels, clip has {clip.channels}")
+    if rsp_clip.frames % cfg.rsp_upsample_factor != 0:
+        raise DomainError(
+            f"frame count {rsp_clip.frames} not divisible by the temporal "
+            f"downsampling factor {cfg.rsp_upsample_factor}"
+        )
     rsp = {}
 
     def respiration():

@@ -2,8 +2,6 @@
 and toy video clips. Everything here exists to give the oracle tests a
 known ground truth."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, check_finite, check_int, check_real
@@ -45,42 +43,15 @@ def gen_resp(fs, rate_bpm, duration_s, harmonic_ratio=0.0, noise_sigma=0.0, seed
     return _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, hi)
 
 
-@dataclass(frozen=True)
-class PlantSpec:
-    """Recipe for an embedding with a signal planted at known coordinates.
-
-    shape is (tau, kappa, alpha, beta); mask is an iterable of (c, a, b)
-    coordinates that receive the signal; noise_sigma is the Gaussian
-    noise level relative to the unit-amplitude signal.
-    """
-
-    shape: tuple
-    mask: tuple
-    signal: Waveform
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        shape = tuple(check_int(x, "PlantSpec shape", 1) for x in self.shape)
-        if len(shape) != 4:
-            raise DomainError(f"PlantSpec shape must be 4 positive extents, got {self.shape}")
-        mask = tuple(tuple(check_int(x, "planted coordinate") for x in cab) for cab in self.mask)
-        if not mask:
-            raise DomainError("PlantSpec mask must be non-empty")
-        if len(set(mask)) != len(mask):
-            raise DomainError("PlantSpec mask contains duplicate coordinates")
-        _, kappa, alpha, beta = shape
-        for (c, a, b) in mask:
-            if not (0 <= c < kappa and 0 <= a < alpha and 0 <= b < beta):
-                raise DomainError(f"planted coordinate {(c, a, b)} outside shape {shape}")
-        check_real(self.noise_sigma, "noise_sigma", ge=0)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "mask", mask)
-
-
-def gen_planted_embedding(spec):
+def gen_planted_embedding(shape, mask, signal, noise_sigma=0.0, seed=0):
     """Build an embedding whose masked voxels carry the signal plus noise
     and whose remaining voxels are pure noise.
+
+    shape is (tau, kappa, alpha, beta), four integers >= 1; signal is a
+    Waveform of tau samples, and mask a non-empty iterable of distinct
+    integer (c, a, b) coordinates inside shape that receive it;
+    noise_sigma >= 0 is the Gaussian noise level relative to the
+    unit-amplitude signal, drawn from a generator seeded with seed.
 
     The signal is scaled to unit peak amplitude, and the whole tensor is
     shifted by its global minimum afterwards so the result is
@@ -91,17 +62,29 @@ def gen_planted_embedding(spec):
     Returns:
         (VoxelEmbedding, boolean mask array over (kappa, alpha, beta)).
     """
-    tau, kappa, alpha, beta = spec.shape
-    y = check_finite(spec.signal.samples, "planted signal", size=tau)
+    extents = tuple(check_int(x, "PlantSpec shape", 1) for x in shape)
+    if len(extents) != 4:
+        raise DomainError(f"PlantSpec shape must be 4 positive extents, got {shape}")
+    coords = [tuple(check_int(x, "planted coordinate") for x in cab) for cab in mask]
+    if not coords:
+        raise DomainError("PlantSpec mask must be non-empty")
+    if len(set(coords)) != len(coords):
+        raise DomainError("PlantSpec mask contains duplicate coordinates")
+    tau, kappa, alpha, beta = extents
+    for (c, a, b) in coords:
+        if not (0 <= c < kappa and 0 <= a < alpha and 0 <= b < beta):
+            raise DomainError(f"planted coordinate {(c, a, b)} outside shape {extents}")
+    noise_sigma = check_real(noise_sigma, "noise_sigma", ge=0)
+    y = check_finite(signal.samples, "planted signal", size=tau)
     peak = np.abs(y).max()
     if peak == 0:
         raise DomainError("planted signal is all zeros")
     y = y / peak
 
-    rng = np.random.default_rng(spec.seed)
-    data = spec.noise_sigma * rng.normal(size=spec.shape) if spec.noise_sigma > 0 else np.zeros(spec.shape)
+    rng = np.random.default_rng(seed)
+    data = noise_sigma * rng.normal(size=extents) if noise_sigma > 0 else np.zeros(extents)
     mask = np.zeros((kappa, alpha, beta), dtype=bool)
-    for (c, a, b) in spec.mask:
+    for (c, a, b) in coords:
         data[:, c, a, b] += y
         mask[c, a, b] = True
     data -= data.min()

@@ -90,25 +90,6 @@ class VoxelEmbedding:
 
 
 @dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Immutable 2D matrix, rows = time, columns = flattened features;
-    data is read-only (a C-contiguous float64 input is not copied)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data, 2, "EmbeddingMatrix"))
-
-    @property
-    def m(self):
-        return self.data.shape[0]
-
-    @property
-    def n(self):
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
 class VideoClip:
     """Immutable video block with axes (frames, channels, height, width).
 
@@ -163,24 +144,26 @@ class Waveform:
 
 
 def flatten_to_matrix(eps):
-    """Map a (tau, kappa, alpha, beta) embedding to a (tau, kappa*alpha*beta) matrix.
+    """Map a (tau, kappa, alpha, beta) embedding to a (tau, kappa*alpha*beta)
+    matrix: a read-only view of the embedding's data.
 
     Element [t, c, a, b] lands at row t, column c*(alpha*beta) + a*beta + b,
     i.e. plain row-major order over the feature axes.
     """
-    t = eps.tau
-    return EmbeddingMatrix(eps.data.reshape(t, -1))
+    return eps.data.reshape(eps.tau, -1)
 
 
 def unflatten_to_voxel(v, shape):
-    """Inverse of flatten_to_matrix for the given (tau, kappa, alpha, beta)."""
+    """Inverse of flatten_to_matrix for the given (tau, kappa, alpha, beta):
+    a (tau, kappa*alpha*beta) array as a VoxelEmbedding."""
     t, c, a, b = (int(x) for x in shape)
-    if v.m != t or v.n != c * a * b:
+    v = real_array(v, "unflatten_to_voxel input")
+    if v.shape != (t, c * a * b):
         raise DomainError(
-            f"cannot unflatten ({v.m}, {v.n}) into shape ({t}, {c}, {a}, {b}): "
+            f"cannot unflatten {v.shape} into shape ({t}, {c}, {a}, {b}): "
             f"need rows={t} and cols={c * a * b}"
         )
-    return VoxelEmbedding(v.data.reshape(t, c, a, b))
+    return VoxelEmbedding(v.reshape(t, c, a, b))
 
 
 def instance_norm(eps, epsilon=1e-5):

@@ -15,6 +15,7 @@ from physfactor import synth
 from physfactor.attention import AttentionConfig, compute_attention, csim_map
 from physfactor.cli import main as cli_main
 from physfactor.factorize import (
+    _band_block,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,
@@ -31,7 +32,12 @@ from physfactor.metrics import (
     snr,
 )
 from physfactor.network import ModelConfig, forward_multitask
-from physfactor.tensors import EmbeddingMatrix, Waveform
+from physfactor.tensors import Waveform
+
+
+def _phi(g):
+    """The dense bank of a GrbfBasis, built from its band."""
+    return _band_block(g, slice(0, g.m), slice(0, g.k))
 
 
 @pytest.fixture
@@ -60,8 +66,8 @@ def test_mu_monotonicity(record):
     ok = True
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        v = EmbeddingMatrix(rng.random((64, 512)))
-        phi = grbf_basis(64, 2.0, 4).phi
+        v = rng.random((64, 512))
+        phi = _phi(grbf_basis(64, 2.0, 4))
         for res in (
             nmf_mu(v, rank=8, iterations=8, seed=seed),
             constrained_nmf_mu(v, phi, rank=8, iterations=8, seed=seed),
@@ -78,9 +84,9 @@ def test_rank1_recovery(record):
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        v = EmbeddingMatrix(np.outer(0.1 + rng.random(20), 0.1 + rng.random(30)))
+        v = np.outer(0.1 + rng.random(20), 0.1 + rng.random(30))
         res = nmf_mu(v, rank=1, iterations=200, seed=seed)
-        rel = np.linalg.norm(v.data - res.low_rank) / np.linalg.norm(v.data)
+        rel = np.linalg.norm(v - res.low_rank) / np.linalg.norm(v)
         if rel < 1e-3:
             hits += 1
     record("rank1-recovery", hits >= 99, f"{hits}/100 under 1e-3")
@@ -94,7 +100,7 @@ def test_tsfm_span(record):
         rank = int(rng.integers(1, 5))
         y = rng.random(m)
         basis = target_basis(y, m)
-        v = EmbeddingMatrix(rng.random((m, n)))
+        v = rng.random((m, n))
         res = constrained_nmf_mu(v, basis, rank=rank, iterations=4, seed=seed)
         b = basis[:, 0]
         for j in range(n):
@@ -109,14 +115,15 @@ def test_grbf_basis(record):
     for m in range(2, 42, 2):
         for dt in range(1, 11):
             g = grbf_basis(m, 1.5, dt)
+            phi = _phi(g)
             expected_k = (m - 1) // dt + 1
-            if g.k != expected_k or g.phi.shape != (m, expected_k):
+            if g.k != expected_k or phi.shape != (m, expected_k):
                 ok = False
             for k in range(g.k):
-                if g.phi[k * dt, k] != 1.0:
+                if phi[k * dt, k] != 1.0:
                     ok = False
-    corner = grbf_basis(5, 1.0, 2)
-    off_center = abs(corner.phi[0, 1] - np.exp(-2.0)) <= 1e-12
+    corner = _phi(grbf_basis(5, 1.0, 2))
+    off_center = abs(corner[0, 1] - np.exp(-2.0)) <= 1e-12
     record("grbf-basis", ok and off_center,
             "20x10 size sweep, unit centers, e^-2 off-center value")
 
@@ -133,8 +140,7 @@ def test_planted_selectivity(record):
         rng = np.random.default_rng(seed)
         coords = [(c, a, b) for c in range(4) for a in range(3) for b in range(3)]
         rng.shuffle(coords)
-        spec = synth.PlantSpec(shape, tuple(coords[:12]), pulse, 0.3, seed)
-        eps, mask = synth.gen_planted_embedding(spec)
+        eps, mask = synth.gen_planted_embedding(shape, coords[:12], pulse, 0.3, seed)
         for variant in ("tsfm", "fsam"):
             cfg = AttentionConfig(variant=variant, seed=seed)
             out = compute_attention(eps, cfg, pulse.samples)
@@ -261,13 +267,12 @@ def test_metric_oracles(record):
 def _battery(tmp_path, tag):
     """One full pass over the stack; returns a JSON-able fingerprint."""
     out = {}
-    v = EmbeddingMatrix(np.random.default_rng(5).random((48, 96)))
+    v = np.random.default_rng(5).random((48, 96))
     res = nmf_mu(v, rank=6, iterations=6, seed=5)
     out["nmf_trace"] = [float(e) for e in res.error_trace]
 
     pulse = synth.gen_pulse(25.0, 72.0, 4.0, 0.0, 0.0, 3)
-    spec = synth.PlantSpec((100, 2, 3, 3), ((0, 0, 0), (1, 2, 2)), pulse, 0.2, 3)
-    eps, _ = synth.gen_planted_embedding(spec)
+    eps, _ = synth.gen_planted_embedding((100, 2, 3, 3), ((0, 0, 0), (1, 2, 2)), pulse, 0.2, 3)
     att = compute_attention(eps, AttentionConfig(variant="tsfm", seed=3), pulse.samples)
     out["excited_sum"] = float(att.excited.data.sum())
     out["excited_digest"] = att.excited.data.tobytes().hex()[:64]

@@ -14,7 +14,7 @@ from physfactor.attention import (
 )
 from physfactor.errors import DomainError
 from physfactor.tensors import VoxelEmbedding, flatten_to_matrix, instance_norm
-from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
+from physfactor.factorize import _band_block, constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
 
 
 def _rand_eps(shape=(20, 4, 3, 3), seed=0, shift=0.0):
@@ -59,24 +59,60 @@ def test_grbf_defaults_are_the_ini_defaults():
     assert np.array_equal(got.factorization.error_trace, want.factorization.error_trace)
 
 
-def test_solve_dispatches_each_variant():
+def _solve_cases():
+    """(matrix, target, {variant: the solver's own result}) for solve."""
     v = flatten_to_matrix(VoxelEmbedding(np.abs(_rand_eps((20, 4, 3, 3)).data)))
     y = np.sin(np.arange(20) * 0.3)
-    expected = {
+    g = grbf_basis(20, 1.5, 3)
+    return v, y, {
         "fsam": nmf_mu(v, 3, 5, 2),
-        "grbf": constrained_nmf_mu(v, grbf_basis(20, 1.5, 3).phi, 3, 5, 2),
+        "grbf": constrained_nmf_mu(v, _band_block(g, slice(0, g.m), slice(0, g.k)), 3, 5, 2),
         "tsfm": constrained_nmf_mu(v, target_basis(y, 20), 3, 5, 2),
     }
+
+
+def _solve_cfg(variant):
+    return AttentionConfig(variant=variant, rank=3, iterations=5, grbf_sigma=1.5, grbf_delta_t=3, seed=2)
+
+
+def test_solve_dispatches_each_variant():
+    v, y, expected = _solve_cases()
     for variant, want in expected.items():
-        cfg = AttentionConfig(variant=variant, rank=3, iterations=5,
-                              grbf_sigma=1.5, grbf_delta_t=3, seed=2)
+        cfg = _solve_cfg(variant)
         got = solve(v, cfg, y)
         assert np.array_equal(got.low_rank, want.low_rank)
         assert np.array_equal(got.error_trace, want.error_trace)
-        out = compute_attention(VoxelEmbedding(v.data.reshape(20, 4, 3, 3)), cfg, y)
+        out = compute_attention(VoxelEmbedding(v.reshape(20, 4, 3, 3)), cfg, y)
         assert np.array_equal(out.factorization.low_rank, want.low_rank)
     with pytest.raises(DomainError, match="target"):
         solve(v, AttentionConfig(variant="tsfm"))
+
+
+@pytest.mark.parametrize("variant", ["fsam", "grbf", "tsfm"])
+@pytest.mark.parametrize("form", ["writeable-ndarray", "nested-list"])
+def test_solve_takes_any_2d_array_like(variant, form):
+    # grbf and tsfm read v.m, which a plain array lacks: AttributeError
+    v, y, expected = _solve_cases()
+    got = solve(np.array(v) if form == "writeable-ndarray" else v.tolist(), _solve_cfg(variant), y)
+    want = expected[variant]
+    for a, b in ((got.w, want.w), (got.h, want.h), (got.low_rank, want.low_rank),
+                 (got.error_trace, want.error_trace)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", ["fsam", "grbf", "tsfm"])
+@pytest.mark.parametrize("shape", [(0, 5), (20, 0)])
+def test_solve_refuses_an_empty_matrix(variant, shape):
+    # numpy's bare ValueError for a max over no entries
+    with pytest.raises(DomainError):
+        solve(np.zeros(shape), _solve_cfg(variant), np.sin(np.arange(20) * 0.3))
+
+
+@pytest.mark.parametrize("variant", ["fsam", "grbf", "tsfm"])
+@pytest.mark.parametrize("v", [np.ones(20), np.float64(1.0), [1.0] * 20], ids=["1d", "0d", "list"])
+def test_solve_refuses_what_is_no_matrix_with_the_solvers_error(variant, v):
+    with pytest.raises(DomainError, match="expects a 2D matrix"):
+        solve(v, _solve_cfg(variant), np.sin(np.arange(20) * 0.3))
 
 
 def test_tsfm_target_errors():
@@ -199,7 +235,7 @@ def test_tsfm_span_property():
     y = np.sin(np.arange(30) * 0.41) + 0.2 * np.cos(np.arange(30) * 0.13)
     out = compute_attention(eps, AttentionConfig(variant="tsfm", rank=5), y)
     basis = target_basis(y, 30)[:, 0]
-    flat = flatten_to_matrix(out.attended).data
+    flat = flatten_to_matrix(out.attended)
     for j in range(flat.shape[1]):
         col = flat[:, j]
         norm = np.linalg.norm(col)

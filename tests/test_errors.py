@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physfactor.attention import AttentionConfig, csim_map
+from physfactor.attention import AttentionConfig, csim_map, solve
 from physfactor.cli import main
 from physfactor.config import load_run_config
-from physfactor.errors import DomainError, check_finite, check_int, check_real
+from physfactor.errors import DomainError, check_finite, check_int, check_real, real_array
 from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
 from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_loss
 from physfactor.metrics import (
     HR_BAND, RateBand, error_metrics, estimate_rate_fft, macc, snr, split_windows,
 )
 from physfactor.network import ModelConfig, conv3d_forward, forward_multitask
-from physfactor.synth import PlantSpec, gen_clip, gen_pulse, gen_resp
-from physfactor.tensors import EmbeddingMatrix, VideoClip, VoxelEmbedding, Waveform, instance_norm
+from physfactor.synth import gen_clip, gen_planted_embedding, gen_pulse, gen_resp
+from physfactor.tensors import VideoClip, VoxelEmbedding, Waveform, instance_norm, unflatten_to_voxel
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 2**70])
@@ -67,7 +67,7 @@ def _v():
     lambda: conv3d_forward(VoxelEmbedding(np.ones((5, 1, 4, 4))), np.ones((1, 1, 1, 1, 1)), strides=(True, 1, 1)),
     lambda: conv3d_forward(VoxelEmbedding(np.ones((5, 1, 4, 4))), np.ones((1, 1, 1, 1, 1)), padding=(0, False, 0)),
     lambda: gen_clip(True, 9, 1),
-    lambda: PlantSpec((8, 1, 2, True), ((0, 0, 0),), gen_pulse(25.0, 72.0, 1.0)),
+    lambda: gen_planted_embedding((8, 1, 2, True), ((0, 0, 0),), gen_pulse(25.0, 72.0, 1.0)),
 ], ids=["attention-rank", "attention-iterations", "attention-delta-t", "temporal-kernel", "spatial-kernel",
         "bvp-channel", "rsp-stride", "attention-index", "input-channels", "nmf-rank", "nmf-iterations",
         "nmf-seed", "constrained-seed", "grbf-delta-t", "target-m", "pad-factor", "conv-stride",
@@ -123,6 +123,9 @@ _S = 2.0 + np.sin(0.7 * np.arange(8))    # a valid signal of 8 samples
 # containers and forward_multitask, which refused it by hand
 _TAKES_AN_ARRAY = [
     ("nmf_mu", "nmf_mu input", lambda: nmf_mu(_v() + 1j, 2)),
+    ("solve fsam", "nmf_mu input", lambda: solve(_v() + 1j, AttentionConfig("fsam", rank=2))),
+    ("solve grbf", "constrained_nmf_mu input", lambda: solve(_v() + 1j, AttentionConfig("grbf", rank=2))),
+    ("solve tsfm", "constrained_nmf_mu input", lambda: solve(_v() + 1j, AttentionConfig("tsfm", rank=2), _S[:6])),
     ("constrained_nmf_mu", "constrained_nmf_mu input", lambda: constrained_nmf_mu(_v() + 1j, np.ones((6, 2)), 1)),
     ("constrained_nmf_mu basis", "constraint basis", lambda: constrained_nmf_mu(_v(), np.ones((6, 2)) + 1j, 1)),
     ("target_basis", "target signal", lambda: target_basis(_S + 1j, 8)),
@@ -143,7 +146,6 @@ _TAKES_AN_ARRAY = [
     ("forward rsp_target", "rsp_target",
      lambda: forward_multitask(_clip(), None, ModelConfig(input_resolution=9), rsp_target=_S + 1j)),
     ("VoxelEmbedding", "VoxelEmbedding", lambda: VoxelEmbedding(np.ones((2, 1, 1, 1)) + 1j)),
-    ("EmbeddingMatrix", "EmbeddingMatrix", lambda: EmbeddingMatrix(np.ones((2, 1)) + 1j)),
     ("VideoClip", "VideoClip", lambda: VideoClip(np.full((8, 3, 9, 9), 0.5) + 1j)),
     ("Waveform", "Waveform", lambda: Waveform(_S + 1j, 25.0)),
 ]
@@ -200,6 +202,20 @@ def test_check_finite_with_a_size_ravels_and_checks_the_length():
         check_finite([[0.0, 1.0], [2.0, 3.0], [np.nan, 5.0]], "a", size=6)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: error_metrics(["a", "b", "c"], [1.0, 2.0, 3.0]), "error_metrics preds"),
+    (lambda: nmf_mu([["x"]], 1), "nmf_mu input"),
+    (lambda: nmf_mu([[1.0, 2.0], [3.0]], 1), "nmf_mu input"),
+    (lambda: unflatten_to_voxel([[1.0, 2.0], [3.0]], (2, 1, 1, 2)), "unflatten_to_voxel input"),
+    (lambda: check_finite(np.array([1.0, 2j], dtype=object), "x"), "x"),
+    (lambda: real_array([10**400], "x"), "x"),
+], ids=["strings", "string-matrix", "ragged", "ragged-unflatten", "complex-objects", "huge-int"])
+def test_what_the_cast_cannot_take_is_refused_naming_the_argument(call, name):
+    # numpy's ValueError, TypeError or OverflowError came out bare
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be an array of real numbers")):
+        call()
+
+
 def _wave(n=50):
     return Waveform(np.sin(np.arange(n)), 25.0)
 
@@ -219,7 +235,8 @@ _REAL_SITES = [
      [-1.0, 0.0], []),
     ("gen_clip fs", "fs", lambda v: gen_clip(4, 9, 1, fs=v), [np.nextafter(4.8, 5.0)], [4.8, 0.1, 0.0]),
     ("gen_clip noise", "noise_sigma", lambda v: gen_clip(4, 9, 1, noise_sigma=v), [0.0], [-1e-300]),
-    ("PlantSpec noise", "noise_sigma", lambda v: PlantSpec((50, 1, 1, 1), ((0, 0, 0),), _wave(), v),
+    ("gen_planted_embedding noise", "noise_sigma",
+     lambda v: gen_planted_embedding((50, 1, 1, 1), ((0, 0, 0),), _wave(), v),
      [0.0], [-1e-300]),
     ("Waveform fs", "fs", lambda v: Waveform([1.0], v), [5e-324], [0.0]),
     ("instance_norm epsilon", "epsilon", lambda v: instance_norm(VoxelEmbedding(np.ones((2, 1, 2, 2))), v),

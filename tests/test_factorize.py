@@ -9,13 +9,19 @@ from physfactor.errors import DomainError
 from physfactor.factorize import (
     _BLOCK_ROWS,
     GrbfBasis,
+    _band_block,
     _row_blocks,
     constrained_nmf_mu,
     grbf_basis,
     nmf_mu,
     target_basis,
 )
-from physfactor.tensors import EmbeddingMatrix, pow2_exponent
+from physfactor.tensors import pow2_exponent
+
+
+def _phi(g):
+    """The dense bank of a GrbfBasis, built from its band."""
+    return _band_block(g, slice(0, g.m), slice(0, g.k))
 
 
 def test_rank1_exact_example():
@@ -32,7 +38,7 @@ def test_zero_matrix_collapses_immediately():
 
 def test_trace_non_increasing_seed42():
     v = np.random.default_rng(42).random((8, 8))
-    res = nmf_mu(EmbeddingMatrix(v), rank=2, iterations=4, seed=42)
+    res = nmf_mu(v, rank=2, iterations=4, seed=42)
     tol = 1e-9 * (1.0 + res.error_trace[0])
     assert np.all(np.diff(res.error_trace) <= tol)
 
@@ -70,12 +76,12 @@ def test_nmf_deterministic_and_nonnegative():
     v = np.random.default_rng(7).random((12, 9))
     a = nmf_mu(v, rank=3, iterations=6, seed=5)
     b = nmf_mu(v, rank=3, iterations=6, seed=5)
-    assert np.array_equal(a.factors.w, b.factors.w)
-    assert np.array_equal(a.factors.h, b.factors.h)
+    assert np.array_equal(a.w, b.w)
+    assert np.array_equal(a.h, b.h)
     assert np.array_equal(a.error_trace, b.error_trace)
     for seed in range(5):
         r = nmf_mu(v, rank=3, iterations=6, seed=seed)
-        assert r.factors.w.min() >= 0 and r.factors.h.min() >= 0
+        assert r.w.min() >= 0 and r.h.min() >= 0
         assert r.low_rank.min() >= 0
 
 
@@ -118,12 +124,12 @@ def test_constrained_k1_hits_projection_after_one_sweep():
 def test_constrained_grbf_span_property():
     rng = np.random.default_rng(8)
     v = rng.random((16, 8))
-    basis = grbf_basis(16, sigma=2.0, delta_t=4)
-    res = constrained_nmf_mu(v, basis.phi, rank=2, iterations=4, seed=3)
+    basis = _phi(grbf_basis(16, sigma=2.0, delta_t=4))
+    res = constrained_nmf_mu(v, basis, rank=2, iterations=4, seed=3)
     tol = 1e-9 * (1.0 + res.error_trace[0])
     assert np.all(np.diff(res.error_trace) <= tol)
     # residual after projecting each reconstruction column onto span(phi)
-    q, _ = np.linalg.qr(basis.phi)
+    q, _ = np.linalg.qr(basis)
     proj = q @ (q.T @ res.low_rank)
     resid = np.linalg.norm(res.low_rank - proj, axis=0)
     norms = np.linalg.norm(res.low_rank, axis=0)
@@ -146,12 +152,13 @@ def test_constrained_preconditions():
 def test_grbf_basis_values():
     basis = grbf_basis(5, sigma=1.0, delta_t=2)
     assert basis.k == 3
-    assert basis.phi.shape == (5, 3)
+    phi = _phi(basis)
+    assert phi.shape == (5, 3)
     # center rows are exactly one, off-center decays
     for k in range(basis.k):
-        assert basis.phi[k * 2, k] == 1.0
-    assert abs(basis.phi[0, 1] - np.exp(-2.0)) <= 1e-12
-    assert basis.phi.min() > 0.0 and basis.phi.max() <= 1.0
+        assert phi[k * 2, k] == 1.0
+    assert abs(phi[0, 1] - np.exp(-2.0)) <= 1e-12
+    assert phi.min() > 0.0 and phi.max() <= 1.0
 
 
 def test_grbf_count_against_naive_sweep():
@@ -368,8 +375,8 @@ def _assert_matches_loop(res, loop, a, b=None):
     # V / 2^e and multiplied back, so where it underflows at either
     # scale it is rounded differently from the loop's
     w, h, low, trace = loop
-    assert np.array_equal(res.factors.w, w)
-    assert np.array_equal(res.factors.h, h)
+    assert np.array_equal(res.w, w)
+    assert np.array_equal(res.h, h)
     assert np.array_equal(res.error_trace, trace)
     x = np.eye(a.shape[0]) if b is None else b
     _assert_product_matches(res.low_rank, low, x, w, h, pow2_exponent(a.max()), pow2_exponent(x.max()))
@@ -415,8 +422,7 @@ def test_grbf_basis_matches_dense_formula(data):
     m = data.draw(st.integers(2, 600))
     sigma = data.draw(_sigmas())
     delta_t = data.draw(st.integers(1, m))
-    phi = grbf_basis(m, sigma, delta_t).phi
-    assert not phi.flags.writeable
+    phi = _phi(grbf_basis(m, sigma, delta_t))
     assert phi.dtype == np.float64 and phi.flags.c_contiguous
     assert np.array_equal(phi, _grbf_basis_dense(m, sigma, delta_t))
 
@@ -438,9 +444,9 @@ def test_constrained_nmf_mu_band_matches_dense_bank(problem):
     # dense bank, which stays the oracle
     a, g, rank, iterations, seed = problem
     res = constrained_nmf_mu(a, g, rank, iterations, seed)
-    want = constrained_nmf_mu(a, g.phi, rank, iterations, seed)
-    assert np.array_equal(res.factors.w, want.factors.w)
-    assert np.array_equal(res.factors.h, want.factors.h)
+    want = constrained_nmf_mu(a, _phi(g), rank, iterations, seed)
+    assert np.array_equal(res.w, want.w)
+    assert np.array_equal(res.h, want.h)
     assert np.array_equal(res.low_rank, want.low_rank)
     assert np.array_equal(res.error_trace, want.error_trace)
 
@@ -450,7 +456,7 @@ def test_constrained_nmf_mu_band_matches_dense_bank(problem):
 def test_band_row_blocks_match_the_scan(data):
     m = data.draw(st.integers(2, 600))
     g = grbf_basis(m, data.draw(_sigmas()), data.draw(st.integers(1, m)))
-    phi = g.phi
+    phi = _phi(g)
     assert _row_blocks(g) == _row_blocks(phi)
     # reach is the largest offset whose entry is non-zero
     assert g.profile.shape == (2 * g.reach + 1,) and g.profile[0] > 0.0
@@ -518,7 +524,7 @@ def test_constrained_nmf_mu_blocks_match_dense_loop(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
     w, h, low, trace = _constrained_nmf_mu_loop(a, b, rank, iterations, seed)
-    for got, want in ((res.factors.w, w), (res.factors.h, h), (res.low_rank, low)):
+    for got, want in ((res.w, w), (res.h, h), (res.low_rank, low)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.error_trace - trace)) <= 1e-12 * np.linalg.norm(a)
 
@@ -536,12 +542,12 @@ def test_multi_block_grbf_solve_matches_dense_gram_loop():
     assert len(_row_blocks(g)) == 5 and len(_distinct_spans(g)) == 5
     a = np.random.default_rng(17).random((600, 12))
     res = constrained_nmf_mu(a, g, rank=8, iterations=6, seed=3)
-    w, h, low, trace = _constrained_nmf_mu_loop(a, g.phi, 8, 6, 3)
+    w, h, low, trace = _constrained_nmf_mu_loop(a, _phi(g), 8, 6, 3)
     bound = 1e-12 * np.linalg.norm(a)
     assert np.all(np.diff(res.error_trace) <= bound)
     assert np.max(np.abs(res.error_trace - trace)) <= bound
     assert np.linalg.norm(res.low_rank - low) <= bound
-    for got, want in ((res.factors.w, w), (res.factors.h, h)):
+    for got, want in ((res.w, w), (res.h, h)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
 
@@ -578,8 +584,8 @@ def test_dense_tall_basis_keeps_the_dense_gram_bit_for_bit():
     assert len(_row_blocks(b)) == 3 and _distinct_spans(b) == {(0, 6)}
     res = constrained_nmf_mu(a, b, rank=4, iterations=5, seed=2)
     p, q, trace = _dense_gram_loop(a, b, 4, 5, 2)
-    assert np.array_equal(res.factors.w, p)
-    assert np.array_equal(res.factors.h, q)
+    assert np.array_equal(res.w, p)
+    assert np.array_equal(res.h, q)
     assert np.array_equal(res.error_trace, trace)
 
 
@@ -657,8 +663,8 @@ def test_nmf_mu_scale_equivariant(scaled):
     (a, rank, iterations, seed), c = scaled
     res = nmf_mu(a, rank, iterations, seed)
     res_c = nmf_mu(c * a, rank, iterations, seed)
-    assert np.array_equal(res_c.factors.w, res.factors.w)
-    _assert_scaled(res_c.factors.h, res.factors.h, c)
+    assert np.array_equal(res_c.w, res.w)
+    _assert_scaled(res_c.h, res.h, c)
     _assert_scaled(res_c.low_rank, res.low_rank, c)
     _assert_scaled(res_c.error_trace, res.error_trace, c)
 
@@ -674,8 +680,8 @@ def test_constrained_nmf_mu_scale_equivariant(scaled):
     (a, b, rank, iterations, seed), c = scaled
     res = constrained_nmf_mu(a, b, rank, iterations, seed)
     res_c = constrained_nmf_mu(c * a, b, rank, iterations, seed)
-    _assert_scaled(res_c.factors.w, res.factors.w, c)
-    assert np.array_equal(res_c.factors.h, res.factors.h)
+    _assert_scaled(res_c.w, res.w, c)
+    assert np.array_equal(res_c.h, res.h)
     _assert_scaled(res_c.low_rank, res.low_rank, c)
     _assert_scaled(res_c.error_trace, res.error_trace, c)
 
@@ -697,7 +703,7 @@ def _norm(a):
 
 
 def _assert_finite_and_non_rising(res, a):
-    for arr in (res.factors.w, res.factors.h, res.low_rank, res.error_trace):
+    for arr in (res.w, res.h, res.low_rank, res.error_trace):
         assert np.all(np.isfinite(arr))
     assert np.all(np.diff(res.error_trace) <= 1e-12 * _norm(a))
 
@@ -727,13 +733,13 @@ def test_scale_carrying_factor_stays_finite(solver):
     # back alone, it overflowed to inf with numpy's ldexp overflow warning
     if solver == "nmf":
         res = nmf_mu(np.full((3, 3), 1.5e308), rank=1)
-        product = res.factors.w @ res.factors.h
+        product = res.w @ res.h
     else:
         rng = np.random.default_rng(3)
         basis = 1e-300 * rng.random((30, 4))
         res = constrained_nmf_mu(1e300 * rng.random((30, 5)), basis, rank=2)
-        product = basis @ res.factors.w @ res.factors.h
-    assert np.all(np.isfinite(res.factors.w)) and np.all(np.isfinite(res.factors.h))
+        product = basis @ res.w @ res.h
+    assert np.all(np.isfinite(res.w)) and np.all(np.isfinite(res.h))
     assert np.all(np.isfinite(res.low_rank))
     assert np.max(np.abs(product - res.low_rank)) <= 1e-12 * np.max(res.low_rank)
 
@@ -745,8 +751,8 @@ def test_factor_split_at_the_float64_boundary():
     v = np.full((3, 3), 1.5e308)
     basis = np.full((3, 1), np.finfo(float).tiny)
     res = constrained_nmf_mu(v, basis, rank=1)
-    assert np.all(np.isfinite(res.factors.w)) and np.all(np.isfinite(res.factors.h))
-    product = basis @ res.factors.w @ res.factors.h
+    assert np.all(np.isfinite(res.w)) and np.all(np.isfinite(res.h))
+    product = basis @ res.w @ res.h
     assert np.max(np.abs(product - res.low_rank)) <= 1e-12 * np.max(res.low_rank)
     with pytest.raises(DomainError, match="cannot carry"):
         constrained_nmf_mu(v, np.full((3, 1), np.ldexp(1.0, -1030)), rank=1)

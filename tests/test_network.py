@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 from pathlib import Path
@@ -333,20 +334,20 @@ def test_bvp_output_length_matches_frames():
 def test_rsp_output_length_and_divisibility():
     cfg = _small_cfg()
     clip = gen_clip(160, 9, 3, seed=1)
-    assert network._branch_forward(clip, cfg, "rsp", None, 25.0).samples.size == 160
+    assert forward_multitask(clip, None, cfg)[1].samples.size == 160
     # 180 = 4 * 45, so the stride product divides it
     clip = gen_clip(180, 9, 3, seed=1)
-    assert network._branch_forward(clip, cfg, "rsp", None, 25.0).samples.size == 180
+    assert forward_multitask(clip, None, cfg)[1].samples.size == 180
     with pytest.raises(DomainError):
-        network._branch_forward(gen_clip(162, 9, 3, seed=1), cfg, "rsp", None, 25.0)
+        forward_multitask(gen_clip(162, 9, 3, seed=1), None, cfg)
 
 
 def test_branch_input_validation():
     cfg = _small_cfg()
     with pytest.raises(DomainError):
-        network._branch_forward(gen_clip(40, 36, 3, seed=0), cfg, "bvp", None, 25.0)     # wrong resolution
+        forward_multitask(gen_clip(40, 36, 3, seed=0), None, cfg)     # wrong resolution
     with pytest.raises(DomainError):
-        network._branch_forward(gen_clip(40, 9, 1, seed=0), cfg, "bvp", None, 25.0)      # wrong channel count
+        forward_multitask(gen_clip(40, 9, 1, seed=0), None, cfg)      # wrong channel count
 
 
 def test_model_config_invariants():
@@ -534,11 +535,18 @@ _FSAM_72 = load_run_config().model_config()       # fsam on both branches
 _GRBF_9 = ModelConfig(input_resolution=9, bvp_attention=AttentionConfig("grbf"))
 
 # (config, clip resolution, forward_multitask keyword arguments, the
-# argument the error names); the fsam and grbf attention never read the
+# words the error gives); the fsam and grbf attention never read the
 # target, so a NaN passed through, a complex target was cast with its
 # imaginary part dropped, and fs = nan failed only after both branches;
-# a bare array for a modality must be named before its .frames is read
+# a bare array for a modality must be named before its .frames is read;
+# a clip the respiration branch refuses let the pulse branch run first
 _BAD_ARGUMENTS = {
+    "rgb-36px-for-72px": (_FSAM_72, 36, {}, "clip resolution 36"),
+    "thermal-36px-for-72px": (dataclasses.replace(_FSAM_72, input_channels=4), 72,
+                              dict(thermal=gen_clip(40, 36, 1, seed=2)), "clip resolution 36"),
+    "rgb-for-thermal-bvp": (dataclasses.replace(_GRBF_9, input_channels=1), 9, {}, "bvp branch expects 1"),
+    "rgb-for-thermal-rsp": (dataclasses.replace(_FSAM_72, input_channels=4), 72, {}, "rsp branch expects 1"),
+    "42-frames-rsp-stride-4": (_FSAM_72, 72, dict(rgb=gen_clip(42, 72, 3, seed=1)), "frame count 42"),
     "ndarray-rgb": (_FSAM_72, 72, dict(rgb=np.zeros((40, 3, 72, 72))), "rgb"),
     "ndarray-thermal": (_FSAM_72, 72, dict(thermal=np.zeros((40, 1, 72, 72))), "thermal"),
     "nan-target-fsam": (_FSAM_72, 72, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),

@@ -4,7 +4,7 @@ import pytest
 from physfactor.attention import csim_map
 from physfactor.errors import DomainError
 from physfactor.metrics import HR_BAND, estimate_rate_fft
-from physfactor.synth import PlantSpec, gen_clip, gen_planted_embedding, gen_pulse, gen_resp
+from physfactor.synth import gen_clip, gen_planted_embedding, gen_pulse, gen_resp
 
 
 def test_gen_pulse_clean_tone_rate():
@@ -54,20 +54,19 @@ def test_gen_pulse_deterministic():
 def test_plant_spec_validation():
     sig = gen_pulse(25.0, 72.0, 4.0)
     with pytest.raises(DomainError):
-        PlantSpec((100, 2, 2, 2), (), sig)
+        gen_planted_embedding((100, 2, 2, 2), (), sig)
     with pytest.raises(DomainError):
-        PlantSpec((100, 2, 2, 2), ((0, 0, 5),), sig)
+        gen_planted_embedding((100, 2, 2, 2), ((0, 0, 5),), sig)
     with pytest.raises(DomainError):
-        PlantSpec((100, 2, 2, 2), ((0, 0, 0), (0, 0, 0)), sig)
+        gen_planted_embedding((100, 2, 2, 2), ((0, 0, 0), (0, 0, 0)), sig)
     with pytest.raises(DomainError):
-        PlantSpec((100, 2, 2, 2), ((0, 0, 0),), sig, noise_sigma=-1.0)
+        gen_planted_embedding((100, 2, 2, 2), ((0, 0, 0),), sig, noise_sigma=-1.0)
 
 
 def test_planted_length_mismatch():
     sig = gen_pulse(25.0, 72.0, 4.0)  # 100 samples
-    spec = PlantSpec((80, 2, 2, 2), ((0, 0, 0),), sig)
     with pytest.raises(DomainError):
-        gen_planted_embedding(spec)
+        gen_planted_embedding((80, 2, 2, 2), ((0, 0, 0),), sig)
 
 
 def test_noiseless_plant_exact_csim():
@@ -78,8 +77,7 @@ def test_noiseless_plant_exact_csim():
     from physfactor.tensors import Waveform
 
     sig = Waveform(y, 25.0)
-    spec = PlantSpec((160, 2, 3, 3), ((0, 1, 2), (1, 0, 0)), sig, noise_sigma=0.0, seed=0)
-    eps, mask = gen_planted_embedding(spec)
+    eps, mask = gen_planted_embedding((160, 2, 3, 3), ((0, 1, 2), (1, 0, 0)), sig, noise_sigma=0.0, seed=0)
     assert eps.data.min() == 0.0
     cs = csim_map(eps, y)
     assert cs[mask].min() > 1.0 - 1e-12
@@ -88,8 +86,7 @@ def test_noiseless_plant_exact_csim():
 
 def test_noiseless_plant_with_negative_signal_still_nonnegative():
     sig = gen_pulse(25.0, 72.0, 4.0)  # sine, min near -1
-    spec = PlantSpec((100, 2, 2, 2), ((0, 0, 0),), sig)
-    eps, mask = gen_planted_embedding(spec)
+    eps, mask = gen_planted_embedding((100, 2, 2, 2), ((0, 0, 0),), sig)
     assert eps.data.min() == 0.0
     assert mask.sum() == 1
 
@@ -97,8 +94,7 @@ def test_noiseless_plant_with_negative_signal_still_nonnegative():
 def test_background_csim_stays_low():
     sig = gen_pulse(25.0, 72.0, 6.4)  # 160 samples
     coords = tuple((c, a, b) for c in range(2) for a in range(3) for b in range(3))[:5]
-    spec = PlantSpec((160, 4, 6, 6), coords, sig, noise_sigma=0.5, seed=3)
-    eps, mask = gen_planted_embedding(spec)
+    eps, mask = gen_planted_embedding((160, 4, 6, 6), coords, sig, noise_sigma=0.5, seed=3)
     cs = csim_map(eps, sig.samples)
     assert (~mask).sum() >= 100
     assert cs[~mask].mean() < 0.15
@@ -106,9 +102,8 @@ def test_background_csim_stays_low():
 
 def test_planted_deterministic():
     sig = gen_pulse(25.0, 72.0, 6.4)
-    spec = PlantSpec((160, 2, 2, 2), ((0, 0, 0), (1, 1, 1)), sig, 0.3, seed=9)
-    a, _ = gen_planted_embedding(spec)
-    b, _ = gen_planted_embedding(spec)
+    a, _ = gen_planted_embedding((160, 2, 2, 2), ((0, 0, 0), (1, 1, 1)), sig, 0.3, seed=9)
+    b, _ = gen_planted_embedding((160, 2, 2, 2), ((0, 0, 0), (1, 1, 1)), sig, 0.3, seed=9)
     assert np.array_equal(a.data, b.data)
 
 
@@ -124,8 +119,8 @@ _SIG = gen_pulse(25.0, 72.0, 1.0)
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: PlantSpec((25.9, 2, 2, 2), ((0, 0, 0),), _SIG), "shape"),
-    (lambda: PlantSpec((25, 2, 2, 2), ((0.5, 0, 0),), _SIG), "coordinate"),
+    (lambda: gen_planted_embedding((25.9, 2, 2, 2), ((0, 0, 0),), _SIG), "shape"),
+    (lambda: gen_planted_embedding((25, 2, 2, 2), ((0.5, 0, 0),), _SIG), "coordinate"),
     (lambda: gen_clip(2.5, 9, 1), "frames"),
     (lambda: gen_pulse(25.0, 72.0, np.inf), "duration"),
     (lambda: gen_pulse(25.0, 72.0, np.nan), "duration"),
@@ -135,9 +130,9 @@ _SIG = gen_pulse(25.0, 72.0, 1.0)
 ], ids=["plant-shape-25.9", "plant-coordinate-0.5", "clip-frames-2.5", "pulse-duration-inf",
         "pulse-duration-nan", "pulse-noise-nan", "clip-noise-negative", "clip-noise-inf"])
 def test_refused_rather_than_truncated_or_ignored(build, match):
-    # PlantSpec truncated 25.9 to 25 and 0.5 to 0; gen_clip(2.5) raised a
-    # bare TypeError and took a negative noise level; an infinite
-    # duration raised a bare OverflowError; a NaN noise level gave the
-    # noise-free tone
+    # a planted shape of 25.9 and coordinate 0.5 were truncated to 25
+    # and 0; gen_clip(2.5) raised a bare TypeError and took a negative
+    # noise level; an infinite duration raised a bare OverflowError; a
+    # NaN noise level gave the noise-free tone
     with pytest.raises(DomainError, match=match):
         build()

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from physfactor.errors import DomainError
 from physfactor.tensors import (
-    EmbeddingMatrix,
     VideoClip,
     VoxelEmbedding,
     Waveform,
@@ -25,8 +24,20 @@ from physfactor.tensors import (
 def test_flatten_forced_example():
     eps = VoxelEmbedding(np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 1, 1, 2))
     v = flatten_to_matrix(eps)
-    assert v.m == 2 and v.n == 2
-    assert np.array_equal(v.data, [[1.0, 2.0], [3.0, 4.0]])
+    assert v.shape == (2, 2)
+    assert np.array_equal(v, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_flatten_is_a_read_only_view_of_the_embedding():
+    data = np.arange(24.0).reshape(2, 3, 2, 2)
+    eps = VoxelEmbedding(data)
+    v = flatten_to_matrix(eps)
+    assert type(v) is np.ndarray and v.shape == (2, 12)
+    assert np.shares_memory(v, eps.data) and np.shares_memory(v, data)
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 1.0
+    data[1, 2, 1, 1] = -1.0    # the caller's array stays writeable and shows through
+    assert v[1, 11] == -1.0
 
 
 def test_flatten_column_order():
@@ -34,12 +45,12 @@ def test_flatten_column_order():
     rng = np.random.default_rng(11)
     eps = VoxelEmbedding(rng.normal(size=(20, 4, 3, 3)))
     v = flatten_to_matrix(eps)
-    assert v.data.shape == (20, 36)
+    assert v.shape == (20, 36)
     for t in (0, 7, 19):
         for c in range(4):
             for a in range(3):
                 for b in range(3):
-                    assert v.data[t, c * 9 + a * 3 + b] == eps.data[t, c, a, b]
+                    assert v[t, c * 9 + a * 3 + b] == eps.data[t, c, a, b]
 
 
 def test_round_trip_random_shapes():
@@ -61,11 +72,10 @@ def test_round_trip_is_bitwise(data):
 
 
 def test_unflatten_examples():
-    v = EmbeddingMatrix([[1.0, 2.0], [3.0, 4.0]])
-    eps = unflatten_to_voxel(v, (2, 1, 1, 2))
+    eps = unflatten_to_voxel([[1.0, 2.0], [3.0, 4.0]], (2, 1, 1, 2))
     assert eps.data[0, 0, 0, 1] == 2.0 and eps.data[1, 0, 0, 0] == 3.0
 
-    wide = EmbeddingMatrix(np.zeros((20, 36)))
+    wide = np.zeros((20, 36))
     assert unflatten_to_voxel(wide, (20, 4, 3, 3)).shape == (20, 4, 3, 3)
     with pytest.raises(DomainError):
         unflatten_to_voxel(wide, (20, 4, 3, 4))
@@ -75,8 +85,8 @@ def test_flatten_is_linear():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 2, 3, 2))
     y = rng.normal(size=(5, 2, 3, 2))
-    lhs = flatten_to_matrix(VoxelEmbedding(2.5 * x - 1.5 * y)).data
-    rhs = 2.5 * flatten_to_matrix(VoxelEmbedding(x)).data - 1.5 * flatten_to_matrix(VoxelEmbedding(y)).data
+    lhs = flatten_to_matrix(VoxelEmbedding(2.5 * x - 1.5 * y))
+    rhs = 2.5 * flatten_to_matrix(VoxelEmbedding(x)) - 1.5 * flatten_to_matrix(VoxelEmbedding(y))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -199,7 +209,7 @@ def test_zero_shift_and_zero_peak():
 
 @pytest.mark.parametrize("make", [
     lambda v: VoxelEmbedding(v.reshape(2, 1, 1, 1)),
-    lambda v: EmbeddingMatrix(v.reshape(2, 1)),
+    lambda v: unflatten_to_voxel(v.reshape(2, 1), (2, 1, 1, 1)),
     lambda v: Waveform(v, 25.0),
 ], ids=["voxel", "matrix", "waveform"])
 def test_containers_refuse_complex_values(make):
@@ -280,7 +290,7 @@ def test_waveform_rejects_non_finite_samples(bad):
 
 @pytest.mark.parametrize("make, shape, field", [
     (VoxelEmbedding, (2, 1, 2, 2), "data"),
-    (EmbeddingMatrix, (2, 4), "data"),
+    (lambda a: unflatten_to_voxel(a, (2, 1, 2, 2)), (2, 4), "data"),
     (VideoClip, (2, 3, 9, 9), "data"),
     (lambda a: Waveform(a, 25.0), (8,), "samples"),
 ])
