@@ -26,11 +26,12 @@ and no more multiply-adds than the patch matrix. The per-tap loop both
 replaced is the oracle in the tests.
 
 The branches share nothing but their read-only weights, so
-`forward_multitask` runs the respiration branch on a worker thread while
-the calling thread runs the pulse branch; numpy and BLAS release the GIL
-for a branch's copies and GEMMs, so on two CPUs the two overlap. Each
-branch does the arithmetic it does alone, so the outputs are bit for bit
-those of two `_branch_forward` calls in a row.
+`forward_multitask` runs the respiration branch as an executor future
+on a worker thread while the calling thread runs the pulse branch;
+numpy and BLAS release the GIL for a branch's copies and GEMMs, so on
+two CPUs the two overlap. Each branch does the arithmetic it does
+alone, so the outputs are bit for bit those of two `_branch_forward`
+calls in a row.
 
 Weights are drawn once per `ModelConfig` from a seeded generator; there
 is no training here, determinism is all that matters.
@@ -38,7 +39,7 @@ is no training here, determinism is all that matters.
 
 import contextvars
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -309,8 +310,9 @@ def param_count(cfg):
 
 
 def _resample_linear(x, length):
-    if x.size == length:
-        return x.copy()
+    """x linearly resampled to length points over the same span; at
+    x.size points, np.interp meets every grid node and returns x's
+    values."""
     src = np.linspace(0.0, length - 1.0, num=x.size)
     return np.interp(np.arange(length), src, x)
 
@@ -321,7 +323,7 @@ def _branch_forward(clip, cfg, branch, target, fs):
     checks all of them)."""
     layers, head_w, head_b = cfg.weights[branch]
     att_cfg = cfg.bvp_attention if branch == "bvp" else cfg.rsp_attention
-    x = VoxelEmbedding(clip.data)
+    x = clip
     pad = (cfg.temporal_kernel // 2, cfg.spatial_kernel // 2, cfg.spatial_kernel // 2)
     for i, (w, b, stride) in enumerate(layers):
         x = conv3d_forward(x, w, b, (stride, SPATIAL_STRIDE, SPATIAL_STRIDE), pad)
@@ -332,9 +334,7 @@ def _branch_forward(clip, cfg, branch, target, fs):
 
     pooled = x.data.mean(axis=(2, 3))              # (t', c)
     samples = pooled @ head_w + head_b             # (t',)
-    if branch == "rsp":
-        samples = _resample_linear(samples, clip.frames)
-    return Waveform(samples, fs)
+    return Waveform(_resample_linear(samples, clip.tau), fs)
 
 
 def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25.0):
@@ -346,17 +346,18 @@ def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25
     The arguments are checked before either branch starts: each modality
     given must be a VideoClip, fs a finite real > 0, and each target
     given must be real, finite and hold one sample per frame, whether or
-    not its branch's attention reads it. Each branch's clip must have
-    the configured resolution and the channels its first block takes,
-    and the respiration clip a frame count that the product of its
-    temporal strides divides.
+    not its branch's attention reads it; a tsfm branch must have its
+    target. Each branch's clip must have the configured resolution and
+    the channels its first block takes, and the respiration clip a frame
+    count that the product of its temporal strides divides.
 
-    The respiration branch runs on a worker thread while this thread
-    runs the pulse branch; each output is bit for bit its branch run
-    alone. Both branches finish before the call returns or raises, and
-    the error is the one the serial order gives: the pulse branch's if it
-    fails, else the respiration branch's. The weights are drawn here,
-    before the worker starts.
+    The respiration branch runs as a future on a one-thread executor
+    while this thread runs the pulse branch; each output is bit for bit
+    its branch run alone. Leaving the executor joins its thread, so both
+    branches finish before the call returns or raises, and the error is
+    the one the serial order gives: the pulse branch's if it fails, else
+    the respiration branch's. The weights are drawn here, before the
+    worker starts.
 
     Returns:
         (pulse Waveform, respiration Waveform), each of length T.
@@ -366,46 +367,36 @@ def forward_multitask(rgb, thermal, cfg, bvp_target=None, rsp_target=None, fs=25
     for name, clip in (("rgb", rgb), ("thermal", thermal)):
         if clip is not None and not isinstance(clip, VideoClip):
             raise DomainError(f"{name} must be a VideoClip, got {type(clip).__name__}")
-    if rgb is not None and thermal is not None and rgb.frames != thermal.frames:
+    if rgb is not None and thermal is not None and rgb.tau != thermal.tau:
         raise DomainError(
-            f"frame count mismatch between modalities: {rgb.frames} vs {thermal.frames}"
+            f"frame count mismatch between modalities: {rgb.tau} vs {thermal.tau}"
         )
     bvp_clip = rgb if rgb is not None else thermal
     rsp_clip = thermal if thermal is not None else rgb
     fs = check_real(fs, "fs", gt=0)
     if bvp_target is not None:
-        bvp_target = check_finite(bvp_target, "bvp_target", size=bvp_clip.frames)
+        bvp_target = check_finite(bvp_target, "bvp_target", size=bvp_clip.tau)
     if rsp_target is not None:
-        rsp_target = check_finite(rsp_target, "rsp_target", size=rsp_clip.frames)
+        rsp_target = check_finite(rsp_target, "rsp_target", size=rsp_clip.tau)
     weights = cfg.weights    # drawn in this thread: cached_property need not lock
-    for branch, clip in (("bvp", bvp_clip), ("rsp", rsp_clip)):
-        if clip.height != cfg.input_resolution:
-            raise DomainError(f"clip resolution {clip.height} does not match config {cfg.input_resolution}")
+    for branch, clip, att, target in (("bvp", bvp_clip, cfg.bvp_attention, bvp_target),
+                                      ("rsp", rsp_clip, cfg.rsp_attention, rsp_target)):
+        if clip.shape[2] != cfg.input_resolution:
+            raise DomainError(f"clip resolution {clip.shape[2]} does not match config {cfg.input_resolution}")
         expected = weights[branch][0][0][0].shape[1]
-        if clip.channels != expected:
-            raise DomainError(f"{branch} branch expects {expected} channels, clip has {clip.channels}")
-    if rsp_clip.frames % cfg.rsp_upsample_factor != 0:
+        if clip.kappa != expected:
+            raise DomainError(f"{branch} branch expects {expected} channels, clip has {clip.kappa}")
+        if att is not None and att.variant == "tsfm" and target is None:
+            raise DomainError(f"tsfm attention on the {branch} branch needs {branch}_target")
+    if rsp_clip.tau % cfg.rsp_upsample_factor != 0:
         raise DomainError(
-            f"frame count {rsp_clip.frames} not divisible by the temporal "
+            f"frame count {rsp_clip.tau} not divisible by the temporal "
             f"downsampling factor {cfg.rsp_upsample_factor}"
         )
-    rsp = {}
-
-    def respiration():
-        try:
-            rsp["wave"] = _branch_forward(rsp_clip, cfg, "rsp", rsp_target, fs)
-        except Exception as err:    # raised below, once the pulse branch is done
-            rsp["error"] = err
-
     # the worker runs in a copy of this thread's context, so numpy's error
     # state (np.errstate) holds in both branches; that needs numpy 2, where
     # the error state is a context variable rather than per-thread state
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(respiration,))
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        rsp = pool.submit(contextvars.copy_context().run, _branch_forward, rsp_clip, cfg, "rsp", rsp_target, fs)
         pulse = _branch_forward(bvp_clip, cfg, "bvp", bvp_target, fs)
-    finally:
-        worker.join()
-    if "error" in rsp:
-        raise rsp["error"]
-    return pulse, rsp["wave"]
+    return pulse, rsp.result()

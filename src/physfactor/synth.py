@@ -62,14 +62,14 @@ def gen_planted_embedding(shape, mask, signal, noise_sigma=0.0, seed=0):
     Returns:
         (VoxelEmbedding, boolean mask array over (kappa, alpha, beta)).
     """
-    extents = tuple(check_int(x, "PlantSpec shape", 1) for x in shape)
+    extents = tuple(check_int(x, "shape", 1) for x in shape)
     if len(extents) != 4:
-        raise DomainError(f"PlantSpec shape must be 4 positive extents, got {shape}")
+        raise DomainError(f"shape must be 4 positive extents, got {shape}")
     coords = [tuple(check_int(x, "planted coordinate") for x in cab) for cab in mask]
     if not coords:
-        raise DomainError("PlantSpec mask must be non-empty")
+        raise DomainError("mask must be non-empty")
     if len(set(coords)) != len(coords):
-        raise DomainError("PlantSpec mask contains duplicate coordinates")
+        raise DomainError("mask contains duplicate coordinates")
     tau, kappa, alpha, beta = extents
     for (c, a, b) in coords:
         if not (0 <= c < kappa and 0 <= a < alpha and 0 <= b < beta):

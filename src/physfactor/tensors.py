@@ -74,7 +74,7 @@ class VoxelEmbedding:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data, 4, "VoxelEmbedding"))
+        object.__setattr__(self, "data", _freeze(self.data, 4, type(self).__name__))
 
     @property
     def tau(self):
@@ -89,9 +89,9 @@ class VoxelEmbedding:
         return self.data.shape
 
 
-@dataclass(frozen=True)
-class VideoClip:
-    """Immutable video block with axes (frames, channels, height, width).
+class VideoClip(VoxelEmbedding):
+    """Immutable video block, a VoxelEmbedding with axes (frames,
+    channels, height, width): its sizes are tau, kappa and shape.
 
     Channel count is restricted to 1 (thermal), 3 (RGB) or 4 (RGB plus
     thermal), and the spatial extents must be square with side 9, 36 or
@@ -99,30 +99,15 @@ class VideoClip:
     input is not copied).
     """
 
-    data: np.ndarray
-
     def __post_init__(self):
-        a = _freeze(self.data, 4, "VideoClip")
-        t, c, h, w = a.shape
+        super().__post_init__()
+        _, c, h, w = self.shape
         if c not in CLIP_CHANNELS:
             raise DomainError(f"VideoClip channels must be one of {CLIP_CHANNELS}, got {c}")
         if h != w or h not in CLIP_SIDES:
             raise DomainError(f"VideoClip needs square frames with a side in {CLIP_SIDES}, got {h}x{w}")
-        if not (a.min() >= 0.0 and a.max() <= 1.0):    # NaN fails too
+        if not (self.data.min() >= 0.0 and self.data.max() <= 1.0):    # NaN fails too
             raise DomainError("VideoClip values must lie in [0, 1]")
-        object.__setattr__(self, "data", a)
-
-    @property
-    def frames(self):
-        return self.data.shape[0]
-
-    @property
-    def channels(self):
-        return self.data.shape[1]
-
-    @property
-    def height(self):
-        return self.data.shape[2]
 
 
 @dataclass(frozen=True)
@@ -173,12 +158,14 @@ def instance_norm(eps, epsilon=1e-5):
     (t, c*a*b) matrix, then over the a*b pixels of each channel. They
     differ from x.mean and x.var over axes (0, 2, 3) only in rounding.
 
-    A channel peaking at 2^e >= 2 is normalized as x / 2^e with epsilon
-    / 4^e (see unit_scaled), which gives the same result where nothing
-    over- or underflows, so the variance stays finite at any scale.
-    Smaller channels are not scaled. When any is, a constant channel's
-    mean is set to its value, so it maps to 0: beyond about 2^45 the
-    rounding of the mean would dominate epsilon / 4^e and give +-1.
+    Each channel is normalized as x / 2^e with epsilon / 4^e, 2^e the
+    power of two at or below its peak, or 1 (see unit_scaled): the same
+    result where nothing over- or underflows, so the variance stays
+    finite at any scale. A channel peaking below 2 is not scaled at
+    all. A constant channel's mean is set to its value, so it maps to
+    exactly 0: otherwise the rounding of the mean would be left over,
+    and beyond a peak of about 2^45 it would dominate epsilon / 4^e and
+    give +-1.
 
     Args:
         eps: input embedding.
@@ -191,20 +178,17 @@ def instance_norm(eps, epsilon=1e-5):
     x = eps.data
     t, c = x.shape[:2]
     n = x.size // c
-    e, constant = 0, None
-    if max(x.max(), -x.min()) >= 2.0:
-        m = x.reshape(t, -1)
-        hi = m.max(axis=0).reshape(c, -1).max(axis=1)
-        lo = m.min(axis=0).reshape(c, -1).min(axis=1)
-        constant = hi == lo
-        x, e = unit_scaled(x, np.maximum(np.maximum(hi, -lo), 1.0)[:, None, None])
+    m = x.reshape(t, -1)
+    hi = m.max(axis=0).reshape(c, -1).max(axis=1)
+    lo = m.min(axis=0).reshape(c, -1).min(axis=1)
+    x, e = unit_scaled(x, np.maximum(np.maximum(hi, -lo), 1.0)[:, None, None])
 
     def channel_mean(y):
         return y.reshape(t, -1).sum(axis=0).reshape(c, -1).sum(axis=1)[:, None, None] / n
 
     mean = channel_mean(x)
-    if constant is not None:
-        mean[constant] = x[0, constant, :1, :1]
+    constant = hi == lo
+    mean[constant] = x[0, constant, :1, :1]
     d = x - mean
     root = np.sqrt(channel_mean(d * d) + shifted(epsilon, -2 * e))
     # epsilon / 4^e underflows to 0 for a channel peaking beyond about

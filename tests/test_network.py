@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from physfactor import network
 from physfactor.attention import AttentionConfig
@@ -331,6 +332,18 @@ def test_bvp_output_length_matches_frames():
         assert wave.samples.size == frames
 
 
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 3000), elements=st.floats(allow_nan=False, allow_subnormal=True)))
+@example(np.array([-0.0, 5e-324, np.inf, -np.inf, 1.0]))
+def test_resample_to_its_own_length_returns_the_input_bytes_in_a_new_array(x):
+    # the oracle of the copy branch both branches' final resample had for
+    # equal lengths: np.interp at the grid nodes returns its input
+    x.flags.writeable = False
+    got = network._resample_linear(x, x.size)
+    assert got.dtype == np.float64 and got.tobytes() == x.tobytes()
+    assert not np.shares_memory(got, x)
+
+
 def test_rsp_output_length_and_divisibility():
     cfg = _small_cfg()
     clip = gen_clip(160, 9, 3, seed=1)
@@ -538,8 +551,10 @@ _GRBF_9 = ModelConfig(input_resolution=9, bvp_attention=AttentionConfig("grbf"))
 # words the error gives); the fsam and grbf attention never read the
 # target, so a NaN passed through, a complex target was cast with its
 # imaginary part dropped, and fs = nan failed only after both branches;
-# a bare array for a modality must be named before its .frames is read;
-# a clip the respiration branch refuses let the pulse branch run first
+# a bare array for a modality must be named before its .frames is read,
+# and a plain embedding refused now that a clip is one; a clip the
+# respiration branch refuses, or a tsfm branch with no target, let the
+# pulse branch run first
 _BAD_ARGUMENTS = {
     "rgb-36px-for-72px": (_FSAM_72, 36, {}, "clip resolution 36"),
     "thermal-36px-for-72px": (dataclasses.replace(_FSAM_72, input_channels=4), 72,
@@ -549,6 +564,12 @@ _BAD_ARGUMENTS = {
     "42-frames-rsp-stride-4": (_FSAM_72, 72, dict(rgb=gen_clip(42, 72, 3, seed=1)), "frame count 42"),
     "ndarray-rgb": (_FSAM_72, 72, dict(rgb=np.zeros((40, 3, 72, 72))), "rgb"),
     "ndarray-thermal": (_FSAM_72, 72, dict(thermal=np.zeros((40, 1, 72, 72))), "thermal"),
+    "embedding-rgb": (_FSAM_72, 72, dict(rgb=VoxelEmbedding(np.full((40, 3, 72, 72), 0.5))),
+                      "rgb must be a VideoClip"),
+    "tsfm-bvp-no-target": (dataclasses.replace(_FSAM_72, bvp_attention=AttentionConfig("tsfm")), 72, {},
+                           "bvp_target"),
+    "tsfm-rsp-no-target": (dataclasses.replace(_FSAM_72, rsp_attention=AttentionConfig("tsfm")), 72, {},
+                           "rsp_target"),
     "nan-target-fsam": (_FSAM_72, 72, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),
     "nan-target-grbf-9px": (_GRBF_9, 9, dict(bvp_target=_with_nan(_PULSE_40)), "bvp_target"),
     "complex-target": (_FSAM_72, 72, dict(rsp_target=_PULSE_40 + 1j), "rsp_target"),
@@ -611,7 +632,7 @@ def _fake_branches(monkeypatch, failing, seen):
         seen.append((branch, np.geterr()["over"]))
         if branch in failing:
             raise DomainError(branch)
-        return Waveform(np.zeros(clip.frames), fs)
+        return Waveform(np.zeros(clip.tau), fs)
 
     monkeypatch.setattr(network, "_branch_forward", branch_forward)
 

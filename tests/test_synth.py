@@ -52,12 +52,15 @@ def test_gen_pulse_deterministic():
 
 
 def test_plant_spec_validation():
+    # the messages name the arguments, not a spec class callers never see
     sig = gen_pulse(25.0, 72.0, 4.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^shape must be 4 positive extents"):
+        gen_planted_embedding((100, 2, 2), ((0, 0, 0),), sig)
+    with pytest.raises(DomainError, match="^mask must be non-empty$"):
         gen_planted_embedding((100, 2, 2, 2), (), sig)
     with pytest.raises(DomainError):
         gen_planted_embedding((100, 2, 2, 2), ((0, 0, 5),), sig)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^mask contains duplicate coordinates$"):
         gen_planted_embedding((100, 2, 2, 2), ((0, 0, 0), (0, 0, 0)), sig)
     with pytest.raises(DomainError):
         gen_planted_embedding((100, 2, 2, 2), ((0, 0, 0),), sig, noise_sigma=-1.0)
@@ -109,7 +112,7 @@ def test_planted_deterministic():
 
 def test_gen_clip_contract():
     clip = gen_clip(40, 36, 3, seed=2)
-    assert clip.frames == 40 and clip.channels == 3 and clip.height == 36
+    assert clip.tau == 40 and clip.shape == (40, 3, 36, 36)
     assert clip.data.min() >= 0.0 and clip.data.max() <= 1.0
     again = gen_clip(40, 36, 3, seed=2)
     assert np.array_equal(clip.data, again.data)
@@ -119,7 +122,7 @@ _SIG = gen_pulse(25.0, 72.0, 1.0)
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: gen_planted_embedding((25.9, 2, 2, 2), ((0, 0, 0),), _SIG), "shape"),
+    (lambda: gen_planted_embedding((25.9, 2, 2, 2), ((0, 0, 0),), _SIG), "^shape must be an integer"),
     (lambda: gen_planted_embedding((25, 2, 2, 2), ((0.5, 0, 0),), _SIG), "coordinate"),
     (lambda: gen_clip(2.5, 9, 1), "frames"),
     (lambda: gen_pulse(25.0, 72.0, np.inf), "duration"),

@@ -246,7 +246,8 @@ def test_voxel_embedding_validation():
 
 def test_video_clip_validation():
     ok = VideoClip(np.full((4, 3, 9, 9), 0.5))
-    assert ok.frames == 4 and ok.channels == 3 and ok.height == 9
+    assert ok.tau == 4 and ok.kappa == 3 and ok.shape == (4, 3, 9, 9)
+    assert isinstance(ok, VoxelEmbedding)
     with pytest.raises(DomainError):
         VideoClip(np.full((4, 2, 9, 9), 0.5))
     with pytest.raises(DomainError):
@@ -255,6 +256,9 @@ def test_video_clip_validation():
         VideoClip(np.full((4, 3, 9, 36), 0.5))
     with pytest.raises(DomainError):
         VideoClip(np.full((4, 3, 9, 9), 1.5))
+    # the embedding's own checks name the class they run for
+    with pytest.raises(DomainError, match="^VideoClip expects a 4D array"):
+        VideoClip(np.full((3, 9, 9), 0.5))
 
 
 def test_video_clip_rejects_nan():
@@ -315,14 +319,15 @@ _MAGNITUDES = st.floats(-300.0, 300.0).map(lambda decade: 10.0 ** decade)
 @example(np.zeros((7, 0, 2, 2)), 1.0, 5.606394622302311e19, 1.0)
 @example(np.zeros((7, 0, 2, 2)), 1.0, 1e200, 1.0)
 @example(np.zeros((7, 0, 2, 2)), 1.0, 7e30, -1.0)
+@example(np.full((7, 2, 2, 2), 0.5), 1.0, 0.1, 1.0)
 def test_instance_norm_maps_a_constant_channel_to_zero_at_any_magnitude(x, scale, magnitude, sign):
     # the mean of equal entries rounds, and beyond a peak of about 2^45
     # that residue dominated epsilon / 4^e: a (7, 1, 2, 2) channel of
     # 5.606394622302311e19 gave 0.99999999999993, and 1e200 or -7e30 gave
-    # 1.0. Unscaled (every peak below 2) the residue stays within its
-    # rounding over sqrt(epsilon)
+    # 1.0. With every peak below 2 nothing was scaled and the residue
+    # was left over: a channel of 0.1 gave 7.9e-14
     k = x.shape[1] // 2
     x = np.insert(x * scale, k, sign * magnitude, axis=1)
     got = instance_norm(VoxelEmbedding(x)).data
     assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got[:, k])) <= 1e-9
+    assert np.all(got[:, k] == 0.0)
