@@ -11,6 +11,7 @@ parse error.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from . import synth
 from .attention import VARIANTS, compute_attention, csim_map, solve
 from .config import ENV_CONFIG_PATH, defaults_text, load_run_config
 from .errors import DomainError, InputFormatError, check_int, check_real
-from .metrics import estimate_rate_fft, evaluate_windows
+from .metrics import MIN_DURATION_S, estimate_rate_fft, evaluate_windows
 from .network import forward_multitask, param_count
 from .tensors import VoxelEmbedding, Waveform
 
@@ -47,13 +48,9 @@ def read_signal_csv(path):
 
 
 def write_signal_csv(path, wave, with_time=False):
-    lines = []
-    for i, v in enumerate(wave.samples):
-        if with_time:
-            lines.append(f"{i / wave.fs:.6f},{v:.10g}")
-        else:
-            lines.append(f"{v:.10g}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "".join(
+        f"{i / wave.fs:.6f},{v:.10g}\n" if with_time else f"{v:.10g}\n" for i, v in enumerate(wave.samples)
+    ))
 
 
 def read_matrix_csv(path, header=False):
@@ -93,7 +90,7 @@ def read_matrix_csv(path, header=False):
 
 def _emit_report(args, obj, also_stdout=True):
     text = dump_json(obj)
-    if getattr(args, "report", None):
+    if args.report:
         _write_text(args.report, text)
     if also_stdout:
         sys.stdout.write(text)
@@ -163,12 +160,7 @@ def cmd_attend(args):
         tau = shape[0]
         pulse = synth.gen_pulse(args.fs, args.rate, tau / check_real(args.fs, "--fs", gt=0), seed=cfg.seed)
         rng = np.random.default_rng(cfg.seed)
-        coords = [
-            (c, a, b)
-            for c in range(shape[1])
-            for a in range(shape[2])
-            for b in range(shape[3])
-        ]
+        coords = list(itertools.product(*map(range, shape[1:])))
         rng.shuffle(coords)
         n_planted = min(check_int(args.n_planted, "--n-planted", 1), len(coords))
         eps, mask = synth.gen_planted_embedding(shape, coords[:n_planted], pulse, args.noise_sigma, cfg.seed)
@@ -203,7 +195,6 @@ def cmd_metrics(args):
     report = evaluate_windows(
         pred,
         gt,
-        kind=args.kind,
         window_s=args.window_s if args.window_s is not None else cfg.window_s,
         pad_factor=cfg.pad_factor,
         max_lag_s=args.max_lag_s if args.max_lag_s is not None else cfg.max_lag_s,
@@ -237,12 +228,21 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_bench(args):
+def _demo_setup(args):
+    """The run config, the model (without attention if asked) and its
+    demo clips: RGB and thermal for a 4-channel model, else one clip of
+    the model's channel count as rgb."""
     cfg = load_run_config(args.config, args.seed)
-    if args.repeats < 1:
-        raise DomainError("repeats must be >= 1")
     model = cfg.model_config(omit_attention=args.omit_attention)
-    rgb, thermal = _demo_clips(model, args.frames, cfg.seed)
+    res, channels = model.input_resolution, model.input_channels
+    rgb = synth.gen_clip(args.frames, res, 3 if channels == 4 else channels, seed=cfg.seed)
+    thermal = synth.gen_clip(args.frames, res, 1, seed=cfg.seed + 1) if channels == 4 else None
+    return cfg, model, rgb, thermal
+
+
+def cmd_bench(args):
+    check_int(args.repeats, "repeats", 1)
+    _, model, rgb, thermal = _demo_setup(args)
 
     def run():
         t0 = time.perf_counter()
@@ -267,25 +267,11 @@ def cmd_bench(args):
     return 0
 
 
-def _demo_clips(model, frames, seed):
-    res = model.input_resolution
-    if model.input_channels == 4:
-        rgb = synth.gen_clip(frames, res, 3, seed=seed)
-        thermal = synth.gen_clip(frames, res, 1, seed=seed + 1)
-    elif model.input_channels == 3:
-        rgb, thermal = synth.gen_clip(frames, res, 3, seed=seed), None
-    else:
-        rgb, thermal = None, synth.gen_clip(frames, res, 1, seed=seed)
-    return rgb, thermal
-
-
 def cmd_demo_forward(args):
-    cfg = load_run_config(args.config, args.seed)
-    model = cfg.model_config(omit_attention=args.omit_attention)
-    rgb, thermal = _demo_clips(model, args.frames, cfg.seed)
+    cfg, model, rgb, thermal = _demo_setup(args)
     pulse, resp = forward_multitask(rgb, thermal, model, fs=args.fs)
-    hr = estimate_rate_fft(pulse, cfg.band("hr")) if pulse.duration_s >= 10 else None
-    rr = estimate_rate_fft(resp, cfg.band("rr")) if resp.duration_s >= 10 else None
+    hr = estimate_rate_fft(pulse, cfg.band("hr")) if pulse.duration_s >= MIN_DURATION_S else None
+    rr = estimate_rate_fft(resp, cfg.band("rr")) if resp.duration_s >= MIN_DURATION_S else None
     if args.save_prefix:
         write_signal_csv(args.save_prefix + "_bvp.csv", pulse)
         write_signal_csv(args.save_prefix + "_rsp.csv", resp)
@@ -400,15 +386,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputFormatError as exc:
+    except (DomainError, InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

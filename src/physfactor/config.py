@@ -77,7 +77,7 @@ def _parse(section, key, raw):
         if raw == "auto" and default == "auto":
             return None
         if kind is tuple:
-            return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
+            return tuple(int(tok) for tok in raw.split(",")) if raw else ()
         if kind is bool:
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)

@@ -377,13 +377,17 @@ def evaluate_windows(pred, gt, kind="hr", window_s=WINDOW_S, pad_factor=PAD_FACT
     of the prediction against the ground-truth rate, MACC between the
     raw traces. Rates feed error_metrics; SNR and MACC are
     averaged with their standard errors. band defaults to band_for(kind).
+    Each signal is divided by the power of two at or below its peak
+    first (see unit_scaled): rates, SNR and MACC are scale-free, so the
+    report is the same at any scale, where the squares in the spectra
+    would otherwise over- or underflow.
     """
     if pred.fs != gt.fs:
         raise DomainError(f"sampling rate mismatch: {pred.fs} vs {gt.fs}")
     band = band_for(kind) if band is None else band
     n = min(pred.samples.size, gt.samples.size)
-    pw = split_windows(Waveform(pred.samples[:n], pred.fs), window_s)
-    gw = split_windows(Waveform(gt.samples[:n], gt.fs), window_s)
+    pw = split_windows(Waveform(unit_scaled(pred.samples[:n])[0], pred.fs), window_s)
+    gw = split_windows(Waveform(unit_scaled(gt.samples[:n])[0], gt.fs), window_s)
 
     rates_p, rates_g, snrs, maccs = [], [], [], []
     for wp, wg in zip(pw, gw):

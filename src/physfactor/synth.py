@@ -14,18 +14,19 @@ RESP_RATE_RANGE = (4.0, 40.0)        # plausible breathing rates, breaths/min
 def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, hi):
     fs = check_real(fs, "sampling rate fs", gt=0)
     check_real(rate_bpm, "rate_bpm (per minute)", ge=lo, le=hi)
-    check_real(duration_s, "duration_s", ge=1.0)
+    duration_s = check_real(duration_s, "duration_s", ge=1.0)
     check_real(harmonic_ratio, "harmonic_ratio")
     check_real(noise_sigma, "noise_sigma", ge=0)
     f0 = rate_bpm / 60.0
     top = 2 * f0 if harmonic_ratio else f0    # the highest tone
     if not top < fs / 2:
         raise DomainError(f"a {top:g} Hz tone aliases at sampling rate fs = {fs:g} Hz; fs must exceed {2 * top:g} Hz")
-    n = int(round(fs * duration_s))
+    n = int(round(check_real(fs * duration_s, "fs * duration_s (samples)")))
     t = np.arange(n) / fs
     x = np.sin(2 * np.pi * f0 * t) + harmonic_ratio * np.sin(2 * np.pi * 2 * f0 * t)
     if noise_sigma > 0:
-        x = x + noise_sigma * np.random.default_rng(seed).normal(size=n)
+        with np.errstate(over="ignore"):    # Waveform refuses an inf sample
+            x = x + noise_sigma * np.random.default_rng(seed).normal(size=n)
     return Waveform(x, fs)
 
 
@@ -82,14 +83,15 @@ def gen_planted_embedding(shape, mask, signal, noise_sigma=0.0, seed=0):
     y = y / peak
 
     rng = np.random.default_rng(seed)
-    data = noise_sigma * rng.normal(size=extents) if noise_sigma > 0 else np.zeros(extents)
     mask = np.zeros((kappa, alpha, beta), dtype=bool)
-    for (c, a, b) in coords:
-        data[:, c, a, b] += y
-        mask[c, a, b] = True
-    data -= data.min()
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        data = noise_sigma * rng.normal(size=extents) if noise_sigma > 0 else np.zeros(extents)
+        for (c, a, b) in coords:
+            data[:, c, a, b] += y
+            mask[c, a, b] = True
+        data -= data.min()
     mask.flags.writeable = False
-    return VoxelEmbedding(data), mask
+    return VoxelEmbedding(check_finite(data, "planted embedding")), mask
 
 
 def gen_clip(frames, resolution, channels, rate_bpm=72.0, fs=25.0, noise_sigma=0.02, seed=0):

@@ -165,7 +165,8 @@ def instance_norm(eps, epsilon=1e-5):
     all. A constant channel's mean is set to its value, so it maps to
     exactly 0: otherwise the rounding of the mean would be left over,
     and beyond a peak of about 2^45 it would dominate epsilon / 4^e and
-    give +-1.
+    give +-1. A channel holding an inf or a NaN is refused with
+    DomainError.
 
     Args:
         eps: input embedding.
@@ -181,6 +182,8 @@ def instance_norm(eps, epsilon=1e-5):
     m = x.reshape(t, -1)
     hi = m.max(axis=0).reshape(c, -1).max(axis=1)
     lo = m.min(axis=0).reshape(c, -1).min(axis=1)
+    check_finite(hi, "instance_norm channel maxima")
+    check_finite(lo, "instance_norm channel minima")
     x, e = unit_scaled(x, np.maximum(np.maximum(hi, -lo), 1.0)[:, None, None])
 
     def channel_mean(y):
@@ -199,7 +202,9 @@ def instance_norm(eps, epsilon=1e-5):
 
 
 def hadamard(a, b):
-    """Elementwise product of two embeddings of identical shape."""
+    """Elementwise product of two embeddings of identical shape; a
+    product beyond float64 is inf, without a warning."""
     if a.shape != b.shape:
         raise DomainError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return VoxelEmbedding(a.data * b.data)
+    with np.errstate(over="ignore"):
+        return VoxelEmbedding(a.data * b.data)

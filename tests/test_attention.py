@@ -217,6 +217,16 @@ def test_csim_map_extreme_scales():
     assert tiny[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_excitation_refuses_a_product_beyond_float64():
+    # eps * attended squares the embedding's scale: beyond about 1.3e154
+    # it overflowed, and the excited embedding came back NaN with
+    # numpy's overflow warning
+    eps = np.random.default_rng(0).random((40, 4, 3, 3))
+    assert np.isfinite(compute_attention(VoxelEmbedding(1e150 * eps), AttentionConfig()).excited.data).all()
+    with pytest.raises(DomainError, match="instance_norm channel maxima must be finite"):
+        compute_attention(VoxelEmbedding(1e160 * eps), AttentionConfig())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_csim_map_rejects_non_finite(bad):
     data = np.ones((4, 1, 2, 2))

@@ -8,8 +8,10 @@ import pytest
 
 from physfactor import synth
 from physfactor.cli import dump_json, main, read_matrix_csv, read_signal_csv, write_signal_csv
+from physfactor.config import load_run_config
 from physfactor.errors import InputFormatError
 from physfactor.metrics import RateBand, evaluate_windows
+from physfactor.network import forward_multitask
 from physfactor.tensors import Waveform
 
 
@@ -383,6 +385,22 @@ def test_demo_forward_rates_and_files(tmp_path, capsys):
     assert read_signal_csv(prefix + "_rsp.csv").size == 300
 
 
+def test_demo_forward_one_channel_clip_feeds_both_branches(tmp_path, capsys):
+    # a 1-channel model's demo clip is passed as rgb; with one modality
+    # both branches read it, so the outputs are those of the clip
+    # passed as thermal
+    path = tmp_path / "thermal.ini"
+    path.write_text("[model]\nresolution = 9\nchannels = 1\n")
+    prefix = str(tmp_path / "one")
+    assert main(["demo-forward", "--config", str(path), "--frames", "40", "--save-prefix", prefix]) == 0
+    capsys.readouterr()
+    cfg = load_run_config(str(path))
+    pulse, resp = forward_multitask(None, synth.gen_clip(40, 9, 1, seed=cfg.seed), cfg.model_config())
+    for wave, suffix in ((pulse, "_bvp.csv"), (resp, "_rsp.csv")):
+        write_signal_csv(str(tmp_path / ("want" + suffix)), wave)
+        assert Path(prefix + suffix).read_bytes() == (tmp_path / ("want" + suffix)).read_bytes()
+
+
 def test_demo_forward_omit_attention(tmp_path, capsys):
     rc = main(["demo-forward", "--config", _small_model_ini(tmp_path),
                "--frames", "60", "--omit-attention"])
@@ -497,14 +515,21 @@ def test_config_requires_an_action(capsys):
     (["factorize", "--demo-shape", "3,-2"], None),
     (["attend", "--n-planted", "-1"], None),
     (["synth", "--fs", "1", "--rate", "72"], None),
+    (["synth", "--duration", "1e308"], None),
+    (["synth", "--noise-sigma", "1e308"], None),
+    (["attend", "--noise-sigma", "1e308"], None),
+    (["attend", "--noise-sigma", "1e300", "--variant", "tsfm"], None),
 ], ids=["factorize-seed", "attend-seed", "config-seed", "synth-fs-nan", "synth-fs-inf", "attend-fs-0",
         "metrics-pad-factor", "rsp-stride-0", "bvp-channels-0", "spatial-kernel-0", "temporal-kernel-even",
         "bvp-channels-empty", "attention-variant", "attention-index", "demo-shape-negative",
-        "n-planted-negative", "synth-aliased-tone"])
+        "n-planted-negative", "synth-aliased-tone", "synth-duration-overflow", "synth-noise-overflow",
+        "attend-noise-overflow", "attend-excitation-overflow"])
 def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv, ini):
     # each of these ended in a numpy or Python traceback, or exited 0
     # after reinterpreting the argument: --n-planted -1 planted all but
-    # one voxel, and a 1.2 Hz tone was written at fs = 1 Hz
+    # one voxel, and a 1.2 Hz tone was written at fs = 1 Hz; the four
+    # overflow cases ended in an OverflowError or numpy's overflow
+    # warning, an error under this suite's filterwarnings
     sig = tmp_path / "sig.csv"
     _write_tone_csv(sig, [72.0])
     argv = list(argv)

@@ -154,11 +154,15 @@ def test_use_attention_flag(tmp_path):
 
 
 def test_rsp_list_lengths_compared_after_parsing(tmp_path):
-    # an empty entry is dropped by the parser, so "8,,12,12,8" is four
-    # channels; five strides must not be cut to four without a word
+    # the parser dropped empty entries, so "8,,12,12,8" read as four
+    # channels and "8,12," as two; an empty entry is now refused while
+    # the list is parsed, before any lengths are compared
     path = tmp_path / "odd.ini"
     path.write_text("[model]\nrsp_channels = 8,,12,12,8\nrsp_temporal_strides = 2,2,1,1,1\n")
-    with pytest.raises(InputFormatError, match="equal length"):
+    with pytest.raises(InputFormatError, match=r"rsp_channels: cannot parse '8,,12,12,8' as an integer list"):
+        load_run_config(str(path))
+    path.write_text("[model]\nbvp_channels = 8,12,\n")
+    with pytest.raises(InputFormatError, match=r"bvp_channels: cannot parse '8,12,' as an integer list"):
         load_run_config(str(path))
 
 

@@ -492,6 +492,30 @@ def test_evaluate_windows_ignores_a_common_dc_shift(kind, windows, seed, noise, 
             assert math.isclose(moved[field][part], base[field][part], rel_tol=1e-9, abs_tol=1e-12), (field, part)
 
 
+# a 6-window HR pair at unit scale, rounded to multiples of 2^-40 so
+# that a factor of 2^k for k in [-1000, 1000] is exact: no bit falls
+# below 2^-1074
+_SCALE_RATES = (62.0, 71.0, 88.0, 95.0, 77.0, 105.0)
+
+
+def _quantized_tones(shift, noise):
+    x = np.concatenate([gen_pulse(FS, r + shift, 30.0, 0.3, noise, i).samples for i, r in enumerate(_SCALE_RATES)])
+    return np.round(x * 2.0**40) / 2.0**40
+
+
+_SCALE_PRED, _SCALE_GT = _quantized_tones(2.0, 0.5), _quantized_tones(0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=600)     # the spectra's squares overflowed: SNR avg NaN, with numpy's warning
+@example(k=-600)    # they underflowed: SNR avg -20.0, the clip floor
+def test_evaluate_windows_is_scale_free(k):
+    pred, gt = np.ldexp(_SCALE_PRED, k), np.ldexp(_SCALE_GT, k)
+    assert np.array_equal(np.ldexp(pred, -k), _SCALE_PRED) and np.array_equal(np.ldexp(gt, -k), _SCALE_GT)
+    base = evaluate_windows(Waveform(_SCALE_PRED, FS), Waveform(_SCALE_GT, FS), "hr").as_dict()
+    assert evaluate_windows(Waveform(pred, FS), Waveform(gt, FS), "hr").as_dict() == base
+
 
 # ------------------------------- windowed evaluation against its per-window loop
 

@@ -218,6 +218,15 @@ def test_containers_refuse_complex_values(make):
         make(np.array([1.0 + 2.0j, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_instance_norm_refuses_non_finite_channels(bad):
+    # an inf channel came back as NaN without a word
+    x = np.random.default_rng(0).random((5, 2, 2, 2))
+    x[3, 1, 0, 1] = bad
+    with pytest.raises(DomainError, match="instance_norm channel (maxima|minima) must be finite"):
+        instance_norm(VoxelEmbedding(x))
+
+
 def test_instance_norm_needs_positive_epsilon():
     with pytest.raises(DomainError):
         instance_norm(VoxelEmbedding(np.zeros((2, 1, 1, 1))), epsilon=0.0)
