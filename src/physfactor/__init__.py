@@ -12,7 +12,7 @@ from .factorize import (
     nmf_mu,
     target_basis,
 )
-from .losses import GradCheck, fd_gradient_check, neg_pearson_loss, smooth_l1_loss
+from .losses import neg_pearson_loss, smooth_l1_loss
 from .metrics import (
     HR_BAND,
     RR_BAND,

@@ -81,8 +81,19 @@ def channel_mix_relu(eps):
 
 
 def excite(eps, attended):
-    """Residual excitation: eps + instance_norm(eps * attended)."""
-    return VoxelEmbedding(eps.data + instance_norm(hadamard(eps, attended)).data)
+    """Residual excitation: eps + instance_norm(eps * attended).
+
+    DomainError where eps or attended holds an inf or a NaN, or where
+    their product overflows float64: the embedding's scale is too large.
+    """
+    product = hadamard(eps, attended)
+    try:
+        normed = instance_norm(product)
+    except DomainError:    # a channel of the product holds an inf or a NaN
+        check_finite(eps.data, "excite embedding")
+        check_finite(attended.data, "excite attended")
+        raise DomainError("excite: eps * attended overflows float64; the embedding's scale is too large") from None
+    return VoxelEmbedding(eps.data + normed.data)
 
 
 def solve(v, cfg, target=None):

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import zipfile
 
 import numpy as np
 
@@ -145,8 +146,11 @@ def cmd_attend(args):
 
     if args.input:
         try:
-            data = np.load(args.input)
-        except (ValueError, EOFError) as exc:
+            # opened here, so that it is closed also where np.load fails;
+            # np.load hands a file that starts like a zip archive to zipfile
+            with open(args.input, "rb") as fh:
+                data = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise InputFormatError(f"{args.input}: not a numeric .npy array ({exc})") from None
         if not isinstance(data, np.ndarray):    # an .npz archive
             raise InputFormatError(f"{args.input}: expected one .npy array, got an archive")
@@ -162,7 +166,10 @@ def cmd_attend(args):
         rng = np.random.default_rng(cfg.seed)
         coords = list(itertools.product(*map(range, shape[1:])))
         rng.shuffle(coords)
-        n_planted = min(check_int(args.n_planted, "--n-planted", 1), len(coords))
+        n_planted = check_int(args.n_planted, "--n-planted", 1)
+        if n_planted >= len(coords):    # the report compares planted voxels with the rest
+            raise DomainError(f"--n-planted must leave a background voxel: below the {len(coords)} voxels "
+                              f"of --shape, got {n_planted}")
         eps, mask = synth.gen_planted_embedding(shape, coords[:n_planted], pulse, args.noise_sigma, cfg.seed)
         target = pulse.samples
 
@@ -270,8 +277,8 @@ def cmd_bench(args):
 def cmd_demo_forward(args):
     cfg, model, rgb, thermal = _demo_setup(args)
     pulse, resp = forward_multitask(rgb, thermal, model, fs=args.fs)
-    hr = estimate_rate_fft(pulse, cfg.band("hr")) if pulse.duration_s >= MIN_DURATION_S else None
-    rr = estimate_rate_fft(resp, cfg.band("rr")) if resp.duration_s >= MIN_DURATION_S else None
+    hr = estimate_rate_fft(pulse, cfg.band("hr"), cfg.pad_factor) if pulse.duration_s >= MIN_DURATION_S else None
+    rr = estimate_rate_fft(resp, cfg.band("rr"), cfg.pad_factor) if resp.duration_s >= MIN_DURATION_S else None
     if args.save_prefix:
         write_signal_csv(args.save_prefix + "_bvp.csv", pulse)
         write_signal_csv(args.save_prefix + "_rsp.csv", resp)
@@ -290,12 +297,10 @@ def cmd_demo_forward(args):
 def cmd_config(args):
     if args.print_defaults:
         sys.stdout.write(defaults_text())
-        return 0
-    if args.check:
+    else:
         load_run_config(args.check)
         sys.stdout.write(f"{args.check}: ok\n")
-        return 0
-    raise InputFormatError("config needs --print-defaults or --check PATH")
+    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -374,16 +379,19 @@ def build_parser():
     p.set_defaults(fn=cmd_demo_forward)
 
     p = sub.add_parser("config", parents=[common], help="print or validate configuration")
-    p.add_argument("--print-defaults", action="store_true")
-    p.add_argument("--check", help="validate this INI file")
+    action = p.add_mutually_exclusive_group(required=True)
+    action.add_argument("--print-defaults", action="store_true")
+    action.add_argument("--check", help="validate this INI file")
     p.set_defaults(fn=cmd_config)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse printed a usage error (2) or the help (0)
+        return exc.code
     try:
         return args.fn(args)
     except (DomainError, InputFormatError, OSError) as exc:

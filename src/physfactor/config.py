@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .attention import AttentionConfig
 from .errors import InputFormatError, check_int, check_real
-from .metrics import RateBand
+from .metrics import MIN_DURATION_S, RateBand
 from .network import ModelConfig
 
 ENV_CONFIG_PATH = "PHYSFACTOR_CONFIG"
@@ -110,9 +110,11 @@ class RunConfig:
 
     def __post_init__(self):
         # the metrics keys as estimate_rate_fft, split_windows and macc
-        # check them, less what depends on the signal's sampling rate
+        # check them, less what depends on the signal's sampling rate; a
+        # window_s below MIN_DURATION_S cuts windows too short for rate
+        # estimation, so every metrics run would refuse it
         check_int(self.pad_factor, "[metrics] pad_factor", 1)
-        check_real(self.window_s, "[metrics] window_s", gt=0)
+        check_real(self.window_s, "[metrics] window_s", ge=MIN_DURATION_S)
         if self.max_lag_s is not None:
             check_real(self.max_lag_s, "[metrics] max_lag_s", ge=0)
 
@@ -169,12 +171,16 @@ def load_run_config(path=None, seed_override=None):
 
     values = {s: {key: default for key, (default, _) in keys.items()} for s, keys in _DEFAULTS.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
+        # no interpolation: a value is read as written, and a '%' in it
+        # fails its parse like any other stray character
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             with open(path) as fh:
                 parser.read_file(fh)
         except configparser.Error as exc:
             raise InputFormatError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise InputFormatError(f"{path}: not a text file") from None
         for section in parser.sections():
             if section not in _DEFAULTS:
                 raise InputFormatError(f"{path}: unknown section [{section}]")

@@ -36,11 +36,11 @@ def check_int(value, name, lo=None):
     return out
 
 
-def check_real(value, name, gt=None, ge=None, lt=None, le=None):
+def check_real(value, name, gt=None, ge=None, le=None):
     """value as a finite Python float: a Python or numpy real number
-    within each bound given (value > gt, value >= ge, value < lt,
-    value <= le). NaN, +-inf, a bool and a str are refused with
-    DomainError, and so is an integer beyond float64's range."""
+    within each bound given (value > gt, value >= ge, value <= le).
+    NaN, +-inf, a bool and a str are refused with DomainError, and so
+    is an integer beyond float64's range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
@@ -49,8 +49,7 @@ def check_real(value, name, gt=None, ge=None, lt=None, le=None):
         out = math.inf
     if not math.isfinite(out):
         raise DomainError(f"{name} must be finite, got {out}")
-    for bound, sign, holds in ((gt, ">", operator.gt), (ge, ">=", operator.ge),
-                               (lt, "<", operator.lt), (le, "<=", operator.le)):
+    for bound, sign, holds in ((gt, ">", operator.gt), (ge, ">=", operator.ge), (le, "<=", operator.le)):
         if bound is not None and not holds(out, bound):
             raise DomainError(f"{name} must be {sign} {bound}, got {out}")
     return out

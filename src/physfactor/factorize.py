@@ -63,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, check_finite, check_int, check_real, real_array
-from .tensors import Waveform, pow2_exponent, shifted, unit_scaled
+from .tensors import pow2_exponent, shifted, unit_scaled
 
 # Rows per block of a constraint basis in constrained_nmf_mu.
 _BLOCK_ROWS = 128
@@ -139,14 +139,13 @@ class FactorizationResult:
     """Read-only non-negative factors w and h, with low_rank = w @ h
     (basis @ w @ h when a basis is involved, w then holding the K x L
     inner gains), the error trace, one entry per sweep, and the
-    iteration count and seed the solve ran with."""
+    iteration count the solve ran with."""
 
     w: np.ndarray
     h: np.ndarray
     low_rank: np.ndarray
     error_trace: np.ndarray
     iterations: int
-    seed: int
 
 
 def _check_nonneg(a, name):
@@ -233,8 +232,7 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     if rank > max_rank:
         raise DomainError(f"rank must satisfy 1 <= rank <= {max_rank}, got {rank}")
     iterations = check_int(iterations, "iterations", 1)
-    seed = check_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     x = 1.0 - rng.random((inner, rank))    # uniform on (0, 1]
     y = 1.0 - rng.random((rank, a.shape[1]))
     trace = np.empty(iterations)
@@ -245,7 +243,7 @@ def _run_mu(a, e, inner, rank, iterations, seed, sweep, max_rank=np.inf, ex=0, e
     low, trace = shifted(low, e), shifted(trace, e)
     for arr in (x, y, low, trace):
         arr.flags.writeable = False
-    return FactorizationResult(x, y, low, trace, iterations, seed)
+    return FactorizationResult(x, y, low, trace, iterations)
 
 
 def nmf_mu(v, rank, iterations=4, seed=0):
@@ -294,7 +292,7 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
     Args:
         v: non-negative, finite 2D array-like (M x N).
         basis: fixed non-negative M x K basis: a GrbfBasis, whose row
-            blocks are filled from its band, or an array (bump bank or
+            blocks are filled from its band, or a 2D array (bump bank or
             target column), which is checked and scanned.
         rank: inner rank L, an integer >= 1.
         iterations: full update sweeps, an integer >= 1.
@@ -308,8 +306,8 @@ def constrained_nmf_mu(v, basis, rank, iterations=4, seed=0):
         blocks = [(rows, cols, _band_block(b, rows, cols)) for rows, cols in _row_blocks(b)]
     else:
         b = real_array(basis, "constraint basis")
-        if b.ndim == 1:
-            b = b[:, None]
+        if b.ndim != 2:
+            raise DomainError(f"constraint basis must be a 2D M x K array, got ndim={b.ndim}")
         _check_nonneg(b, "constraint basis")
         # each column divided by the power of two at or below its own
         # peak, and P's row for it multiplied back by the same
@@ -405,16 +403,16 @@ grbf_basis = GrbfBasis
 
 
 def target_basis(y, m):
-    """Turn a target signal into a single non-negative constraint column,
-    the read-only (m, 1) basis of the tsfm solve.
+    """Turn a target signal, a vector of m samples, into a single
+    non-negative constraint column, the read-only (m, 1) basis of the
+    tsfm solve.
 
     The signal is min-max normalized onto [TARGET_FLOOR, 1]:
         basis = TARGET_FLOOR + (1 - TARGET_FLOOR) * (y - min y) / (max y - min y)
     A constant signal is rejected, it would make the constrained
     factorization degenerate, and so is a non-finite one.
     """
-    y = check_finite(y.samples if isinstance(y, Waveform) else y, "target signal",
-                     size=check_int(m, "target_basis m"))
+    y = check_finite(y, "target signal", size=check_int(m, "target_basis m"))
     lo, hi = y.min(), y.max()
     if hi == lo:
         raise DomainError("target signal is constant, cannot build a constraint")

@@ -1,24 +1,20 @@
-"""Training losses with analytic gradients, plus a finite-difference
-checker used by the test suite.
+"""Training losses with analytic gradients.
 
 Only the losses carry gradients; the network forward passes in this
 package are inference-only.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, check_finite, check_real
-from .tensors import Waveform, shifted, unit_scaled
+from .errors import DomainError, check_finite
+from .tensors import shifted, unit_scaled
 
 
 def _samples(pred, gt):
-    """The samples of pred and gt, each a Waveform or vector, as two
-    finite float64 vectors of equal length; DomainError otherwise."""
-    x, y = (v.samples if isinstance(v, Waveform) else v for v in (pred, gt))
-    x = check_finite(x, "pred").ravel()
-    return x, check_finite(y, "gt", size=x.size)
+    """pred and gt, two sample vectors, as two finite float64 vectors
+    of equal length; DomainError otherwise."""
+    x = check_finite(pred, "pred").ravel()
+    return x, check_finite(gt, "gt", size=x.size)
 
 
 def neg_pearson_loss(pred, gt):
@@ -29,8 +25,8 @@ def neg_pearson_loss(pred, gt):
     the loss is 1.0 with a zero gradient instead of an error.
 
     Args:
-        pred: predicted Waveform or sample vector (length >= 3).
-        gt: reference Waveform or sample vector of equal length.
+        pred: predicted sample vector (length >= 3).
+        gt: reference sample vector of equal length.
 
     Returns:
         (loss, grad) where grad is d loss / d pred, same length as pred.
@@ -86,60 +82,3 @@ def smooth_l1_loss(pred, gt):
     n = d.size
     grad = np.where(quad, d, np.sign(d)) / n
     return loss, grad
-
-
-_LOSSES = {"neg_pearson": neg_pearson_loss, "smooth_l1": smooth_l1_loss}
-
-
-@dataclass(frozen=True)
-class GradCheck:
-    """Result of a finite-difference gradient check.
-
-    max_rel_error is taken over the checked coordinates; coordinates
-    whose difference sits within 10*step of the smooth L1 knee are
-    counted in knee_excluded and left out of the maximum (the central
-    difference straddles a curvature jump there).
-    """
-
-    max_rel_error: float
-    n_checked: int
-    knee_excluded: int
-
-
-def fd_gradient_check(loss_kind, point, step=1e-5):
-    """Compare an analytic loss gradient against central differences.
-
-    Args:
-        loss_kind: "neg_pearson" or "smooth_l1".
-        point: (pred, gt) pair of equal-length sample vectors.
-        step: finite-difference step h, positive and finite.
-
-    Returns:
-        GradCheck with the max relative error, using denominator
-        max(|analytic|, 1e-8) per coordinate.
-    """
-    if loss_kind not in _LOSSES:
-        raise DomainError(f"unknown loss kind {loss_kind!r}")
-    check_real(step, "step", gt=0)
-    fn = _LOSSES[loss_kind]
-    x, y = _samples(point[0], point[1])
-    x = x.copy()
-    _, grad = fn(x, y)
-
-    max_rel = 0.0
-    excluded = 0
-    checked = 0
-    for i in range(x.size):
-        if loss_kind == "smooth_l1" and abs(abs(x[i] - y[i]) - 1.0) <= 10.0 * step:
-            excluded += 1
-            continue
-        x[i] += step
-        hi, _ = fn(x, y)
-        x[i] -= 2 * step
-        lo, _ = fn(x, y)
-        x[i] += step
-        num = (hi - lo) / (2 * step)
-        rel = abs(num - grad[i]) / max(abs(grad[i]), 1e-8)
-        max_rel = max(max_rel, rel)
-        checked += 1
-    return GradCheck(max_rel, checked, excluded)

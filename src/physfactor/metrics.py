@@ -351,19 +351,20 @@ def error_metrics(preds, gts):
     )
 
 
-def split_windows(wave, window_s=WINDOW_S, min_s=MIN_DURATION_S):
-    """Non-overlapping windows of window_s seconds; a trailing remainder
-    is kept when it is long enough for rate estimation."""
+def split_windows(wave, window_s=WINDOW_S):
+    """Non-overlapping windows of window_s seconds; a window, the
+    trailing remainder too, is kept when it lasts at least
+    MIN_DURATION_S, long enough for rate estimation."""
     check_real(window_s, "window_s")
     size = int(round(check_real(window_s * wave.fs, "window_s * fs (samples per window)", ge=1)))
     out = []
     for start in range(0, wave.samples.size, size):
         chunk = wave.samples[start : start + size]
-        if chunk.size / wave.fs >= min_s:
+        if chunk.size / wave.fs >= MIN_DURATION_S:
             out.append(Waveform(chunk, wave.fs))
     if not out:
         raise DomainError(
-            f"signal too short for rate estimation: no window reaches {min_s} s"
+            f"signal too short for rate estimation: no window reaches {MIN_DURATION_S} s"
         )
     return out
 

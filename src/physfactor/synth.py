@@ -9,6 +9,7 @@ from .tensors import VideoClip, VoxelEmbedding, Waveform
 
 PULSE_RATE_RANGE = (30.0, 220.0)     # plausible heart rates, beats/min
 RESP_RATE_RANGE = (4.0, 40.0)        # plausible breathing rates, breaths/min
+CLIP_NOISE_SIGMA = 0.02              # per-pixel noise of gen_clip
 
 
 def _gen_tone(fs, rate_bpm, duration_s, harmonic_ratio, noise_sigma, seed, lo, hi):
@@ -94,18 +95,17 @@ def gen_planted_embedding(shape, mask, signal, noise_sigma=0.0, seed=0):
     return VoxelEmbedding(check_finite(data, "planted embedding")), mask
 
 
-def gen_clip(frames, resolution, channels, rate_bpm=72.0, fs=25.0, noise_sigma=0.02, seed=0):
+def gen_clip(frames, resolution, channels, rate_bpm=72.0, fs=25.0, seed=0):
     """Toy video clip: mid-gray frames with a weak pulse modulating all
-    pixels plus per-pixel noise, clipped into [0, 1]. frames,
-    resolution and channels are integers >= 1."""
+    pixels plus per-pixel Gaussian noise of CLIP_NOISE_SIGMA, clipped
+    into [0, 1]. frames, resolution and channels are integers >= 1."""
     frames = check_int(frames, "frames", 1)
     resolution = check_int(resolution, "resolution", 1)
     channels = check_int(channels, "channels", 1)
     check_real(fs, "sampling rate fs", gt=0)
-    check_real(noise_sigma, "noise_sigma", ge=0)
     pulse = gen_pulse(fs, rate_bpm, frames / fs if frames / fs >= 1 else 1.0, 0.2, 0.0, seed)
     s = pulse.samples[:frames]
     rng = np.random.default_rng(seed)
     data = 0.5 + 0.05 * s[:, None, None, None]
-    data = data + noise_sigma * rng.normal(size=(frames, channels, resolution, resolution))
+    data = data + CLIP_NOISE_SIGMA * rng.normal(size=(frames, channels, resolution, resolution))
     return VideoClip(np.clip(data, 0.0, 1.0))

@@ -26,6 +26,9 @@ from .errors import DomainError, check_finite, check_real, real_array
 CLIP_SIDES = (9, 36, 72)
 CLIP_CHANNELS = (1, 3, 4)
 
+# The variance guard instance_norm adds under the square root.
+NORM_EPSILON = 1e-5
+
 def _freeze(arr, ndim, name):
     # no finiteness scan, a full pass per conv block; a view, so that
     # clearing its flag leaves the caller's array writeable
@@ -151,31 +154,26 @@ def unflatten_to_voxel(v, shape):
     return VoxelEmbedding(v.reshape(t, c, a, b))
 
 
-def instance_norm(eps, epsilon=1e-5):
+def instance_norm(eps):
     """Normalize each channel to zero mean, unit variance over (t, a, b).
 
     The statistics are sums over contiguous axes: over time on the
     (t, c*a*b) matrix, then over the a*b pixels of each channel. They
     differ from x.mean and x.var over axes (0, 2, 3) only in rounding.
 
-    Each channel is normalized as x / 2^e with epsilon / 4^e, 2^e the
+    Each channel is normalized as x / 2^e with NORM_EPSILON / 4^e, 2^e the
     power of two at or below its peak, or 1 (see unit_scaled): the same
     result where nothing over- or underflows, so the variance stays
     finite at any scale. A channel peaking below 2 is not scaled at
     all. A constant channel's mean is set to its value, so it maps to
     exactly 0: otherwise the rounding of the mean would be left over,
-    and beyond a peak of about 2^45 it would dominate epsilon / 4^e and
-    give +-1. A channel holding an inf or a NaN is refused with
+    and beyond a peak of about 2^45 it would dominate NORM_EPSILON / 4^e
+    and give +-1. A channel holding an inf or a NaN is refused with
     DomainError.
 
-    Args:
-        eps: input embedding.
-        epsilon: variance guard added under the square root, finite and > 0.
-
     Returns:
-        VoxelEmbedding of the same shape.
+        VoxelEmbedding of the same shape as eps.
     """
-    check_real(epsilon, "instance_norm epsilon", gt=0)
     x = eps.data
     t, c = x.shape[:2]
     n = x.size // c
@@ -193,8 +191,8 @@ def instance_norm(eps, epsilon=1e-5):
     constant = hi == lo
     mean[constant] = x[0, constant, :1, :1]
     d = x - mean
-    root = np.sqrt(channel_mean(d * d) + shifted(epsilon, -2 * e))
-    # epsilon / 4^e underflows to 0 for a channel peaking beyond about
+    root = np.sqrt(channel_mean(d * d) + shifted(NORM_EPSILON, -2 * e))
+    # NORM_EPSILON / 4^e underflows to 0 for a channel peaking beyond about
     # 2^530; one whose variance is then 0 too is constant, so its d is 0
     root[root == 0] = 1.0
     d /= root
@@ -203,8 +201,9 @@ def instance_norm(eps, epsilon=1e-5):
 
 def hadamard(a, b):
     """Elementwise product of two embeddings of identical shape; a
-    product beyond float64 is inf, without a warning."""
+    product beyond float64 is inf, and inf * 0 is NaN, without a
+    warning."""
     if a.shape != b.shape:
         raise DomainError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return VoxelEmbedding(a.data * b.data)

@@ -220,11 +220,25 @@ def test_csim_map_extreme_scales():
 def test_excitation_refuses_a_product_beyond_float64():
     # eps * attended squares the embedding's scale: beyond about 1.3e154
     # it overflowed, and the excited embedding came back NaN with
-    # numpy's overflow warning
+    # numpy's overflow warning; then the refusal named instance_norm's
+    # channel maxima, an internal of the library, not the excitation
     eps = np.random.default_rng(0).random((40, 4, 3, 3))
     assert np.isfinite(compute_attention(VoxelEmbedding(1e150 * eps), AttentionConfig()).excited.data).all()
-    with pytest.raises(DomainError, match="instance_norm channel maxima must be finite"):
+    with pytest.raises(DomainError, match=r"^excite: eps \* attended overflows float64"):
         compute_attention(VoxelEmbedding(1e160 * eps), AttentionConfig())
+
+
+def test_excite_names_what_is_not_finite():
+    big = VoxelEmbedding(np.full((4, 1, 2, 2), 1e200))
+    ones = VoxelEmbedding(np.ones((4, 1, 2, 2)))
+    bad = np.ones((4, 1, 2, 2))
+    bad[2, 0, 1, 0] = -np.inf
+    with pytest.raises(DomainError, match=r"^excite: eps \* attended overflows float64"):
+        excite(big, big)
+    with pytest.raises(DomainError, match="^excite embedding must be finite, got -inf"):
+        excite(VoxelEmbedding(bad), ones)
+    with pytest.raises(DomainError, match="^excite attended must be finite, got nan"):
+        excite(ones, VoxelEmbedding(np.where(bad < 0, np.nan, 1.0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

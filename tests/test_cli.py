@@ -10,9 +10,12 @@ from physfactor import synth
 from physfactor.cli import dump_json, main, read_matrix_csv, read_signal_csv, write_signal_csv
 from physfactor.config import load_run_config
 from physfactor.errors import InputFormatError
-from physfactor.metrics import RateBand, evaluate_windows
+from physfactor.metrics import RateBand, estimate_rate_fft, evaluate_windows
 from physfactor.network import forward_multitask
 from physfactor.tensors import Waveform
+
+
+NONDEFAULT_INI = str(Path(__file__).parent / "data" / "nondefault.ini")
 
 
 def _write_tone_csv(path, rates, fs=25.0, noise=0.0, seed=0):
@@ -322,16 +325,29 @@ def _write_binary(path):
     path.write_bytes(b"\x93NUMPY\x00\xff\xfe\x80 not text")
 
 
+def _write_negative_with_minus_inf(path):
+    data = -np.random.default_rng(0).random((20, 2, 2, 2))
+    data[3, 1, 0, 0] = -np.inf
+    np.save(path, data)
+
+
 @pytest.mark.parametrize("command, write, code", [
     ("factorize", _write_binary, 2),
     ("attend", _write_binary, 2),
     ("attend", lambda p: p.write_bytes(b""), 2),
     ("attend", lambda p: np.save(p, np.array([1.0, "a", None], dtype=object), allow_pickle=True), 2),
     ("attend", lambda p: np.save(p, np.ones((20, 1, 2, 2)) * (1 + 2j)), 1),
-], ids=["factorize-binary", "attend-binary", "attend-empty", "attend-object-array", "attend-complex"])
+    ("attend", lambda p: p.write_bytes(b"PK\x03\x04 not an archive"), 2),
+    ("attend", _write_negative_with_minus_inf, 1),
+], ids=["factorize-binary", "attend-binary", "attend-empty", "attend-object-array", "attend-complex",
+        "attend-zip-magic", "attend-minus-inf"])
 def test_input_files_that_are_not_real_arrays_exit_without_traceback(tmp_path, capsys, command, write, code):
     # np.load's ValueError and the CSV reader's UnicodeDecodeError ended
-    # in tracebacks, and a complex array was read as its real part
+    # in tracebacks, and a complex array was read as its real part; a
+    # file starting with a zip archive's magic number raised zipfile's
+    # BadZipFile and was left open; an all-negative embedding holding
+    # -inf rectifies to 0, and -inf * 0 in the excitation gave numpy's
+    # invalid-value warning
     path = tmp_path / "input.npy"
     write(path)
     assert main([command, "--input", str(path)]) == code
@@ -401,6 +417,22 @@ def test_demo_forward_one_channel_clip_feeds_both_branches(tmp_path, capsys):
         assert Path(prefix + suffix).read_bytes() == (tmp_path / ("want" + suffix)).read_bytes()
 
 
+def test_demo_forward_rates_take_the_configured_pad_factor(capsys):
+    # the rates took the library's default pad factor, 8, with the
+    # configured bands: rr_bpm read 12.817 here, where the configured
+    # pad factor, 4, gives 12.451
+    assert main(["demo-forward", "--config", NONDEFAULT_INI, "--frames", "300"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    cfg = load_run_config(NONDEFAULT_INI)
+    assert cfg.pad_factor == 4
+    rgb = synth.gen_clip(300, 9, 3, seed=cfg.seed)
+    thermal = synth.gen_clip(300, 9, 1, seed=cfg.seed + 1)
+    pulse, resp = forward_multitask(rgb, thermal, cfg.model_config())
+    assert report["hr_bpm"] == estimate_rate_fft(pulse, cfg.hr_band, 4)
+    assert report["rr_bpm"] == estimate_rate_fft(resp, cfg.rr_band, 4)
+    assert report["rr_bpm"] != estimate_rate_fft(resp, cfg.rr_band)
+
+
 def test_demo_forward_omit_attention(tmp_path, capsys):
     rc = main(["demo-forward", "--config", _small_model_ini(tmp_path),
                "--frames", "60", "--omit-attention"])
@@ -465,9 +497,10 @@ def test_config_check_rejects_bad_file(tmp_path, capsys):
     "[attention]\ngrbf_delta_t = 0\n",
     "[metrics]\npad_factor = 0\n",
     "[metrics]\nwindow_s = -5\n",
+    "[metrics]\nwindow_s = 5.0\n",
     "[metrics]\nmax_lag_s = nan\n",
 ], ids=["attention-variant", "attention-index", "bvp-channels-empty", "rank-0", "grbf-sigma-negative",
-        "grbf-delta-t-0", "pad-factor-0", "window-s-negative", "max-lag-s-nan"])
+        "grbf-delta-t-0", "pad-factor-0", "window-s-negative", "window-s-below-10", "max-lag-s-nan"])
 def test_config_check_rejects_out_of_domain_values(tmp_path, capsys, ini):
     # each of these passed the check, and every command then failed
     path = tmp_path / "run.ini"
@@ -497,39 +530,74 @@ def test_config_requires_an_action(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, ini", [
-    (["factorize", "--seed", "-1"], None),
-    (["attend", "--seed", "-2"], None),
-    (["factorize"], "[rng]\nseed = -1\n"),
-    (["synth", "--fs", "nan"], None),
-    (["synth", "--fs", "inf"], None),
-    (["attend", "--fs", "0"], None),
-    (["metrics", "--fs", "25"], "[metrics]\npad_factor = 0\n"),
-    (["bench", "--repeats", "1", "--frames", "40"], "[model]\nrsp_temporal_strides = 0,2,1,1\n"),
-    (["demo-forward", "--frames", "40"], "[model]\nbvp_channels = 8,0,12,8\n"),
-    (["demo-forward", "--frames", "40"], "[model]\nspatial_kernel = 0\n"),
-    (["demo-forward", "--frames", "40"], "[model]\ntemporal_kernel = 2\n"),
-    (["demo-forward", "--frames", "40"], "[model]\nbvp_channels =\n"),
-    (["factorize"], "[attention]\nvariant = xx\n"),
-    (["factorize"], "[model]\nattention_index = 7\n"),
-    (["factorize", "--demo-shape", "3,-2"], None),
-    (["attend", "--n-planted", "-1"], None),
-    (["synth", "--fs", "1", "--rate", "72"], None),
-    (["synth", "--duration", "1e308"], None),
-    (["synth", "--noise-sigma", "1e308"], None),
-    (["attend", "--noise-sigma", "1e308"], None),
-    (["attend", "--noise-sigma", "1e300", "--variant", "tsfm"], None),
+def test_a_usage_error_is_returned_as_exit_2(capsys):
+    # argparse's SystemExit left main, so a caller of main got no code
+    assert main(["factorize", "--rank", "x"]) == 2
+    assert "error: argument --rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, words", [
+    (b"\xff\xfe[rng]\nseed = 1\n", "not a text file"),
+    (b"[rng]\nseed = 5%\n", "[rng] seed: cannot parse '5%' as int"),
+], ids=["not-utf-8", "percent-sign"])
+def test_a_config_that_does_not_parse_exits_2(tmp_path, capsys, content, words):
+    # the decode error and configparser's interpolation error were not
+    # caught: both ended in a traceback
+    path = tmp_path / "run.ini"
+    path.write_bytes(content)
+    assert main(["config", "--check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+
+
+def test_config_refuses_both_actions(tmp_path, capsys):
+    # --print-defaults won: the defaults were printed at exit 0 and the
+    # file, here a missing one, was never read
+    assert main(["config", "--print-defaults", "--check", str(tmp_path / "missing.ini")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument --print-defaults" in captured.err
+
+
+@pytest.mark.parametrize("argv, ini, words", [
+    (["factorize", "--seed", "-1"], None, None),
+    (["attend", "--seed", "-2"], None, None),
+    (["factorize"], "[rng]\nseed = -1\n", None),
+    (["synth", "--fs", "nan"], None, None),
+    (["synth", "--fs", "inf"], None, None),
+    (["attend", "--fs", "0"], None, None),
+    (["metrics", "--fs", "25"], "[metrics]\npad_factor = 0\n", None),
+    (["bench", "--repeats", "1", "--frames", "40"], "[model]\nrsp_temporal_strides = 0,2,1,1\n", None),
+    (["demo-forward", "--frames", "40"], "[model]\nbvp_channels = 8,0,12,8\n", None),
+    (["demo-forward", "--frames", "40"], "[model]\nspatial_kernel = 0\n", None),
+    (["demo-forward", "--frames", "40"], "[model]\ntemporal_kernel = 2\n", None),
+    (["demo-forward", "--frames", "40"], "[model]\nbvp_channels =\n", None),
+    (["factorize"], "[attention]\nvariant = xx\n", None),
+    (["factorize"], "[model]\nattention_index = 7\n", None),
+    (["factorize", "--demo-shape", "3,-2"], None, None),
+    (["attend", "--n-planted", "-1"], None, None),
+    (["synth", "--fs", "1", "--rate", "72"], None, None),
+    (["synth", "--duration", "1e308"], None, None),
+    (["synth", "--noise-sigma", "1e308"], None, None),
+    (["attend", "--noise-sigma", "1e308"], None, None),
+    (["attend", "--noise-sigma", "1e300", "--variant", "tsfm"], None, "eps * attended overflows"),
+    (["attend", "--n-planted", "36"], None, "--n-planted must leave a background voxel"),
+    (["attend", "--shape", "160,1,1,1", "--n-planted", "1"], None, "--n-planted must leave a background voxel"),
 ], ids=["factorize-seed", "attend-seed", "config-seed", "synth-fs-nan", "synth-fs-inf", "attend-fs-0",
         "metrics-pad-factor", "rsp-stride-0", "bvp-channels-0", "spatial-kernel-0", "temporal-kernel-even",
         "bvp-channels-empty", "attention-variant", "attention-index", "demo-shape-negative",
         "n-planted-negative", "synth-aliased-tone", "synth-duration-overflow", "synth-noise-overflow",
-        "attend-noise-overflow", "attend-excitation-overflow"])
-def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv, ini):
+        "attend-noise-overflow", "attend-excitation-overflow", "n-planted-every-voxel", "n-planted-one-voxel"])
+def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv, ini, words):
     # each of these ended in a numpy or Python traceback, or exited 0
     # after reinterpreting the argument: --n-planted -1 planted all but
     # one voxel, and a 1.2 Hz tone was written at fs = 1 Hz; the four
     # overflow cases ended in an OverflowError or numpy's overflow
-    # warning, an error under this suite's filterwarnings
+    # warning, an error under this suite's filterwarnings; the
+    # excitation overflow named instance_norm's channel maxima; a plant
+    # of every voxel left no background, whose mean and gap were NaN
+    # after numpy's "Mean of empty slice" warning
     sig = tmp_path / "sig.csv"
     _write_tone_csv(sig, [72.0])
     argv = list(argv)
@@ -544,6 +612,7 @@ def test_out_of_domain_arguments_exit_1_without_traceback(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert words is None or words in err
 
 
 def test_seed_flag_changes_factorization(capsys):

@@ -13,13 +13,13 @@ from physfactor.cli import main
 from physfactor.config import load_run_config
 from physfactor.errors import DomainError, check_finite, check_int, check_real, real_array
 from physfactor.factorize import constrained_nmf_mu, grbf_basis, nmf_mu, target_basis
-from physfactor.losses import fd_gradient_check, neg_pearson_loss, smooth_l1_loss
+from physfactor.losses import neg_pearson_loss, smooth_l1_loss
 from physfactor.metrics import (
     HR_BAND, RateBand, error_metrics, estimate_rate_fft, macc, snr, split_windows,
 )
 from physfactor.network import ModelConfig, conv3d_forward, forward_multitask
 from physfactor.synth import gen_clip, gen_planted_embedding, gen_pulse, gen_resp
-from physfactor.tensors import VideoClip, VoxelEmbedding, Waveform, instance_norm, unflatten_to_voxel
+from physfactor.tensors import VideoClip, VoxelEmbedding, Waveform, unflatten_to_voxel
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 2**70])
@@ -136,7 +136,6 @@ _TAKES_AN_ARRAY = [
     ("neg_pearson_loss gt", "gt", lambda: neg_pearson_loss(_S, _S + 1j)),
     ("smooth_l1_loss pred", "pred", lambda: smooth_l1_loss(_S + 1j, _S)),
     ("smooth_l1_loss gt", "gt", lambda: smooth_l1_loss(_S, _S + 1j)),
-    ("fd_gradient_check", "pred", lambda: fd_gradient_check("smooth_l1", (_S + 1j, _S))),
     ("conv weights", "conv weights",
      lambda: conv3d_forward(VoxelEmbedding(np.ones((3, 1, 2, 2))), np.ones((1, 1, 1, 1, 1)) + 1j)),
     ("conv bias", "conv bias",
@@ -177,7 +176,7 @@ def test_check_real_refuses_non_finite_and_non_reals(value, words):
 def test_check_real_bounds():
     assert check_real(0.0, "x", ge=0.0, le=0.0) == 0.0
     for bounds, message in [({"gt": 0.0}, "x must be > 0.0, got 0.0"), ({"ge": 1}, "x must be >= 1, got 0.0"),
-                            ({"lt": 0.0}, "x must be < 0.0, got 0.0"), ({"le": -1}, "x must be <= -1, got 0.0")]:
+                            ({"le": -1}, "x must be <= -1, got 0.0")]:
         with pytest.raises(DomainError, match=message):
             check_real(0.0, "x", **bounds)
 
@@ -234,25 +233,22 @@ _REAL_SITES = [
     ("gen_pulse harmonic_ratio", "harmonic_ratio", lambda v: gen_pulse(25.0, 72.0, 30.0, harmonic_ratio=v),
      [-1.0, 0.0], []),
     ("gen_clip fs", "fs", lambda v: gen_clip(4, 9, 1, fs=v), [np.nextafter(4.8, 5.0)], [4.8, 0.1, 0.0]),
-    ("gen_clip noise", "noise_sigma", lambda v: gen_clip(4, 9, 1, noise_sigma=v), [0.0], [-1e-300]),
     ("gen_planted_embedding noise", "noise_sigma",
      lambda v: gen_planted_embedding((50, 1, 1, 1), ((0, 0, 0),), _wave(), v),
      [0.0], [-1e-300]),
     ("Waveform fs", "fs", lambda v: Waveform([1.0], v), [5e-324], [0.0]),
-    ("instance_norm epsilon", "epsilon", lambda v: instance_norm(VoxelEmbedding(np.ones((2, 1, 2, 2))), v),
-     [5e-324], [0.0]),
     ("RateBand lo", "lo_hz", lambda v: RateBand(v, 1.0), [5e-324], [0.0]),
     ("RateBand hi", "hi_hz", lambda v: RateBand(0.6, v), [np.nextafter(0.6, 1.0)], [0.6]),
     ("macc max_lag_s", "max_lag_s", lambda v: macc(_wave(), _wave(), v), [0.0], [-1e-300]),
     # rates outside the band are refused as the mask oracle in test_metrics.py refuses them
     ("snr ref_rate", "ref_rate", lambda v: snr(_wave(), v, HR_BAND), [36.0, 198.0], []),
-    ("split_windows window_s", "window_s", lambda v: split_windows(_wave(), v, min_s=0.0), [0.04], [0.039]),
-    ("fd_gradient_check step", "step", lambda v: fd_gradient_check("smooth_l1", ([0.0, 3.0], [1.0, 0.0]), v),
-     [1e-5], [0.0]),
+    # a window is kept when it lasts MIN_DURATION_S = 10 s: 250 samples here
+    ("split_windows window_s", "window_s", lambda v: split_windows(_wave(250), v), [10.0], [0.039]),
     ("grbf_basis sigma", "sigma", lambda v: grbf_basis(8, v, 1), [1e-150], [0.0, 1e-170, 1e200]),
     ("AttentionConfig grbf_sigma", "grbf_sigma", lambda v: AttentionConfig("grbf", grbf_sigma=v, grbf_delta_t=1),
      [1e-150], [0.0, 1e-170]),
-    ("RunConfig window_s", "window_s", lambda v: replace(load_run_config(), window_s=v), [5e-324], [0.0]),
+    ("RunConfig window_s", "window_s", lambda v: replace(load_run_config(), window_s=v),
+     [10.0], [np.nextafter(10.0, 0.0), 0.0]),
     ("RunConfig max_lag_s", "max_lag_s", lambda v: replace(load_run_config(), max_lag_s=v), [0.0], [-1e-300]),
 ]
 _SITE_IDS = [site for site, *_ in _REAL_SITES]
@@ -268,15 +264,14 @@ def test_each_real_site_keeps_its_boundaries_and_refuses_non_reals(site, name, c
 
 
 @pytest.mark.parametrize("call", [
-    lambda: instance_norm(VoxelEmbedding(np.ones((2, 1, 2, 2))), np.inf),
     lambda: macc(_wave(), _wave(), np.inf),
     lambda: RateBand(0.6, np.inf),
     lambda: gen_pulse("25", 72.0, 30.0),
     lambda: Waveform([1.0], True),
-], ids=["instance-norm-epsilon-inf", "macc-max-lag-inf", "band-edge-inf", "gen-pulse-str-fs", "waveform-bool-fs"])
+], ids=["macc-max-lag-inf", "band-edge-inf", "gen-pulse-str-fs", "waveform-bool-fs"])
 def test_values_accepted_before_the_shared_checks_are_refused(call):
-    # epsilon = inf gave all zeros, the infinite lag and band edge were
-    # taken, a str fs raised a bare TypeError and fs = True was 1 Hz
+    # the infinite lag and band edge were taken, a str fs raised a bare
+    # TypeError and fs = True was 1 Hz
     with pytest.raises(DomainError):
         call()
 

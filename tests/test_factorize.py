@@ -149,6 +149,15 @@ def test_constrained_preconditions():
         constrained_nmf_mu(v, b, rank=0)
 
 
+@pytest.mark.parametrize("basis", [np.float64(1.0), np.ones(6), np.ones((6, 2, 1))], ids=["0d", "1d", "3d"])
+def test_constrained_refuses_a_basis_that_is_not_2d(basis):
+    # a 1-D basis was taken as one column, a 3-D one raised a bare
+    # ValueError from the row blocks and a 0-D one a TypeError
+    v = np.random.default_rng(0).random((6, 4))
+    with pytest.raises(DomainError, match="constraint basis must be a 2D M x K array"):
+        constrained_nmf_mu(v, basis, rank=1)
+
+
 def test_grbf_basis_values():
     basis = grbf_basis(5, sigma=1.0, delta_t=2)
     assert basis.k == 3
