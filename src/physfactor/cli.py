@@ -196,7 +196,7 @@ def cmd_attend(args):
 
 
 def cmd_metrics(args):
-    cfg = load_run_config(args.config, args.seed)
+    cfg = load_run_config(args.config)
     pred = Waveform(read_signal_csv(args.pred), args.fs)
     gt = Waveform(read_signal_csv(args.gt), args.fs)
     report = evaluate_windows(
@@ -205,7 +205,7 @@ def cmd_metrics(args):
         window_s=args.window_s if args.window_s is not None else cfg.window_s,
         pad_factor=cfg.pad_factor,
         max_lag_s=args.max_lag_s if args.max_lag_s is not None else cfg.max_lag_s,
-        band=cfg.band(args.kind),
+        band=cfg.bands[args.kind],
     )
     _emit_report(args, report.as_dict(), also_stdout=args.format == "json")
     if args.format == "table":
@@ -277,8 +277,8 @@ def cmd_bench(args):
 def cmd_demo_forward(args):
     cfg, model, rgb, thermal = _demo_setup(args)
     pulse, resp = forward_multitask(rgb, thermal, model, fs=args.fs)
-    hr = estimate_rate_fft(pulse, cfg.band("hr"), cfg.pad_factor) if pulse.duration_s >= MIN_DURATION_S else None
-    rr = estimate_rate_fft(resp, cfg.band("rr"), cfg.pad_factor) if resp.duration_s >= MIN_DURATION_S else None
+    hr = estimate_rate_fft(pulse, cfg.bands["hr"], cfg.pad_factor) if pulse.duration_s >= MIN_DURATION_S else None
+    rr = estimate_rate_fft(resp, cfg.bands["rr"], cfg.pad_factor) if resp.duration_s >= MIN_DURATION_S else None
     if args.save_prefix:
         write_signal_csv(args.save_prefix + "_bvp.csv", pulse)
         write_signal_csv(args.save_prefix + "_rsp.csv", resp)
@@ -311,15 +311,18 @@ def build_parser():
         prog="physfactor",
         description="Factorization attention, toy physiological model and metric suite.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
+    # each subcommand takes the shared flags it reads, and refuses the rest
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
                         help=f"INI config path (falls back to ${ENV_CONFIG_PATH}, then defaults)")
-    common.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
-    common.add_argument("--report", default=None, help="write the JSON report to this path")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", default=None, help="write the JSON report to this path")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factorize", parents=[common], help="run one factorization on a matrix")
+    p = sub.add_parser("factorize", parents=[config, seed, report], help="run one factorization on a matrix")
     p.add_argument("--input", help="CSV matrix, one comma-separated row per line")
     p.add_argument("--demo-shape", default="64,512", help="M,N for a seeded random matrix")
     p.add_argument("--variant", choices=VARIANTS)
@@ -330,7 +333,7 @@ def build_parser():
     p.add_argument("--target", help="target signal CSV (tsfm)")
     p.set_defaults(fn=cmd_factorize)
 
-    p = sub.add_parser("attend", parents=[common],
+    p = sub.add_parser("attend", parents=[config, seed, report],
                        help="run the attention pipeline on a planted or loaded embedding")
     p.add_argument("--input", help="4D .npy embedding (t, c, a, b)")
     p.add_argument("--target", help="target signal CSV for tsfm / CSIM")
@@ -343,7 +346,7 @@ def build_parser():
     p.add_argument("--save-excited", help="save the excited embedding to this .npy path")
     p.set_defaults(fn=cmd_attend)
 
-    p = sub.add_parser("metrics", parents=[common], help="windowed metric evaluation of two signal files")
+    p = sub.add_parser("metrics", parents=[config, report], help="windowed metric evaluation of two signal files")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--fs", type=float, required=True)
@@ -353,7 +356,7 @@ def build_parser():
     p.add_argument("--max-lag-s", type=float, default=None)
     p.set_defaults(fn=cmd_metrics)
 
-    p = sub.add_parser("synth", parents=[common], help="write a synthetic signal CSV")
+    p = sub.add_parser("synth", parents=[config, seed], help="write a synthetic signal CSV")
     p.add_argument("--kind", choices=("pulse", "resp"), default="pulse")
     p.add_argument("--fs", type=float, default=25.0)
     p.add_argument("--rate", type=float, default=72.0)
@@ -364,13 +367,13 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("bench", parents=[common], help="time the dual-branch forward pass")
+    p = sub.add_parser("bench", parents=[config, seed, report], help="time the dual-branch forward pass")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--frames", type=int, default=160)
     p.add_argument("--omit-attention", action="store_true")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("demo-forward", parents=[common],
+    p = sub.add_parser("demo-forward", parents=[config, seed, report],
                        help="forward synthetic clips through both branches")
     p.add_argument("--frames", type=int, default=160)
     p.add_argument("--fs", type=float, default=25.0)
@@ -378,7 +381,7 @@ def build_parser():
     p.add_argument("--save-prefix", help="write <prefix>_bvp.csv and <prefix>_rsp.csv")
     p.set_defaults(fn=cmd_demo_forward)
 
-    p = sub.add_parser("config", parents=[common], help="print or validate configuration")
+    p = sub.add_parser("config", help="print or validate configuration")
     action = p.add_mutually_exclusive_group(required=True)
     action.add_argument("--print-defaults", action="store_true")
     action.add_argument("--check", help="validate this INI file")

@@ -12,11 +12,12 @@ supported key and its default.
 
 import configparser
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .attention import AttentionConfig
 from .errors import InputFormatError, check_int, check_real
-from .metrics import MIN_DURATION_S, RateBand
+from .metrics import BANDS, MIN_DURATION_S, RateBand
 from .network import ModelConfig
 
 ENV_CONFIG_PATH = "PHYSFACTOR_CONFIG"
@@ -94,8 +95,9 @@ class RunConfig:
     reads) and the seed. model holds the [model] keys, with resolution
     as input_resolution and channels as input_channels; both branch
     attentions are `attention`, or None where use_attention is false.
-    The [metrics] keys are window_s, pad_factor, max_lag_s and the bands
-    hr_band and rr_band. seed is the [rng] seed, or its override.
+    The [metrics] keys are window_s, pad_factor, max_lag_s and bands,
+    the read-only table from "hr" and "rr" to the configured RateBand,
+    keyed as metrics.BANDS. seed is the [rng] seed, or its override.
     """
 
     attention: AttentionConfig
@@ -104,8 +106,7 @@ class RunConfig:
     window_s: float
     pad_factor: int
     max_lag_s: float | None
-    hr_band: RateBand
-    rr_band: RateBand
+    bands: MappingProxyType = field(hash=False)    # a mapping has no hash; the config keeps its own
     seed: int
 
     def __post_init__(self):
@@ -117,13 +118,6 @@ class RunConfig:
         check_real(self.window_s, "[metrics] window_s", ge=MIN_DURATION_S)
         if self.max_lag_s is not None:
             check_real(self.max_lag_s, "[metrics] max_lag_s", ge=0)
-
-    def band(self, kind):
-        if kind == "hr":
-            return self.hr_band
-        if kind == "rr":
-            return self.rr_band
-        raise InputFormatError(f"unknown band kind {kind!r}")
 
     def attention_config(self, variant=None):
         """The attention config, with variant in place of its own if given."""
@@ -149,12 +143,13 @@ def _build(values, seed_override=None):
     branch = attention if model.pop("use_attention") else None
     model = ModelConfig(input_resolution=model.pop("resolution"), input_channels=model.pop("channels"),
                         **model, bvp_attention=branch, rsp_attention=branch, seed=seed)
-    for kind in ("hr", "rr"):
+    bands = {}
+    for kind in BANDS:
         lo, hi = met.pop(f"{kind}_lo_hz"), met.pop(f"{kind}_hi_hz")
         # checked here as RateBand checks them, so an error names the INI key
         check_real(hi, f"[metrics] {kind}_hi_hz", gt=check_real(lo, f"[metrics] {kind}_lo_hz", gt=0))
-        met[f"{kind}_band"] = RateBand(lo, hi)
-    return RunConfig(attention, model, epsilon, **met, seed=seed)
+        bands[kind] = RateBand(lo, hi)
+    return RunConfig(attention, model, epsilon, **met, bands=MappingProxyType(bands), seed=seed)
 
 
 def load_run_config(path=None, seed_override=None):

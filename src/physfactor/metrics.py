@@ -37,6 +37,7 @@ timer) sees every window.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,14 +63,14 @@ class RateBand:
 
 HR_BAND = RateBand(0.6, 3.3)     # 36..198 beats/min
 RR_BAND = RateBand(0.1, 0.5)     # 6..30 breaths/min
+BANDS = MappingProxyType({"hr": HR_BAND, "rr": RR_BAND})
 
 
 def band_for(kind):
-    if kind == "hr":
-        return HR_BAND
-    if kind == "rr":
-        return RR_BAND
-    raise DomainError(f"unknown band kind {kind!r}")
+    try:
+        return BANDS[kind]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown band kind {kind!r}") from None
 
 
 @dataclass(frozen=True)
@@ -132,21 +133,22 @@ def estimate_rate_fft(wave, band, pad_factor=PAD_FACTOR):
     if band.hi_hz > wave.fs / 2:
         raise DomainError(f"band [{band.lo_hz}, {band.hi_hz}] Hz extends past Nyquist {wave.fs / 2}")
     nfft = pad_factor * _next_pow2(n)
-    lo, hi = _band_bins(nfft, wave.fs, band)
+    freqs, lo, hi = _spectrum_grid(nfft, wave.fs, band)
     if lo == hi:
         raise DomainError("no FFT bins inside the band")
     peak = lo + int(np.argmax(np.abs(np.fft.rfft(_detrended(wave), n=nfft)[lo:hi])))
-    # the peak's entry of rfftfreq(nfft, 1 / fs), by rfftfreq's own formula
-    return 60.0 * (peak * (1.0 / (nfft * (1.0 / wave.fs))))
+    return 60.0 * float(freqs[peak])
 
 
 @lru_cache(maxsize=64)
-def _band_bins(nfft, fs, band):
-    """The bins of rfftfreq(nfft, 1 / fs) inside band, as a range lo:hi
-    (the frequencies ascend). Cached: a window length, sampling rate and
-    band recur from window to window."""
+def _spectrum_grid(nfft, fs, band):
+    """(freqs, lo, hi): the read-only grid rfftfreq(nfft, 1 / fs) and the
+    range lo:hi of its bins inside band, edges included (the frequencies
+    ascend). Cached: a window length, sampling rate and band recur from
+    window to window."""
     freqs = np.fft.rfftfreq(nfft, 1.0 / fs)
-    return int(np.searchsorted(freqs, band.lo_hz, "left")), int(np.searchsorted(freqs, band.hi_hz, "right"))
+    freqs.flags.writeable = False
+    return freqs, int(np.searchsorted(freqs, band.lo_hz, "left")), int(np.searchsorted(freqs, band.hi_hz, "right"))
 
 
 def snr(pred, ref_rate, band):
@@ -165,17 +167,16 @@ def snr(pred, ref_rate, band):
         )
     x = _detrended(pred)
     power = np.abs(np.fft.rfft(x)) ** 2
-    freqs = np.fft.rfftfreq(x.size, 1.0 / pred.fs)
+    freqs, lo, hi = _spectrum_grid(x.size, pred.fs, band)
     sig = (np.abs(freqs - f0) <= SNR_FUND_HZ) | (np.abs(freqs - 2 * f0) <= SNR_HARM_HZ)
-    inband = (freqs >= band.lo_hz) & (freqs <= band.hi_hz)
     p_sig = float(power[sig].sum())
-    p_noise = float(power[inband & ~sig].sum())
-    lo, hi = SNR_CLIP_DB
+    p_noise = float(power[lo:hi][~sig[lo:hi]].sum())
+    db_lo, db_hi = SNR_CLIP_DB
     if p_sig == 0.0:
-        return lo
+        return db_lo
     if p_noise == 0.0:
-        return hi
-    return float(np.clip(10.0 * np.log10(p_sig / p_noise), lo, hi))
+        return db_hi
+    return float(np.clip(10.0 * np.log10(p_sig / p_noise), db_lo, db_hi))
 
 
 def _pearson(a, b):
@@ -197,11 +198,12 @@ def _overlap(x, y, lag):
     return x[: n + lag], y[-lag:]
 
 
-def _lagged_abs_pearson(v, peaks, max_lag):
+def _lagged_abs_pearson(v, max_lag):
     """|r| at every lag in -max_lag..max_lag between the rows x = v[0]
-    and y = v[1] of a (2, n) array, whose largest magnitudes are the
-    two peaks, from one cross-correlation and prefix sums, plus a
-    bound on how far each value may sit from _pearson's for that lag.
+    and y = v[1] of a (2, n) array, each row's largest magnitude in
+    [1, 2) (see unit_scaled), from one cross-correlation and prefix
+    sums, plus a bound on how far each value may sit from _pearson's
+    for that lag.
 
     Both rows are centred on their whole-window means first, so the
     prefix sums carry no DC term to cancel. Where an overlap's variance
@@ -237,12 +239,12 @@ def _lagged_abs_pearson(v, peaks, max_lag):
     # The sums above are accurate to about tol times the whole window's
     # sum of squares. _pearson centres each overlap on a mean that is
     # itself off by up to about n * eps * max|sample|, which shifts its
-    # r by a second-order term. Divided by an overlap's own variance,
-    # each floor bounds that signal's share of the error on r.
+    # r by a second-order term; max|sample| < 2 for both rows. Divided
+    # by an overlap's own variance, each floor bounds that signal's
+    # share of the error on r.
     eps = np.finfo(np.float64).eps
     tol = 16.0 * eps * n ** 1.5
-    floors = np.array([[tol * float(row @ row) + n * (2.0 * n * eps * peak) ** 2]
-                       for row, peak in zip(w[:2], peaks)])
+    floors = np.array([[tol * float(row @ row) + n * (4.0 * n * eps) ** 2] for row in w[:2]])
     ok = var > floors
     sure = ok[0] & ok[1, ::-1]
     safe = np.where(ok, var, 1.0)
@@ -283,9 +285,8 @@ def macc(pred, gt, max_lag_s=None):
         # no overlap of 3 samples, or a constant signal: r = 0 at every lag
         return 0.0
     # each row divided by the power of two at or below its own peak
-    peaks = np.maximum(top, -bottom)
-    v, e = unit_scaled(v, peaks)
-    r, slack = _lagged_abs_pearson(v, shifted(peaks, -e)[:, 0], max_lag)
+    v, _ = unit_scaled(v, np.maximum(top, -bottom))
+    r, slack = _lagged_abs_pearson(v, max_lag)
     # a NaN cutoff keeps every lag, which falls back to the full loop
     contenders = np.flatnonzero(~(r + slack < np.max(r - slack))) - max_lag
     best = 0.0
@@ -310,9 +311,14 @@ def error_metrics(preds, gts):
     per-item terms over sqrt(n); Corr's uses the Fisher-z delta method,
     (1 - r^2)/sqrt(n - 3), infinite at n = 3.
 
-    Corr is undefined for n < 3 or a constant series: it is then left
-    out when the two series are element-wise identical (a perfect but
-    degenerate prediction, e.g. a file scored against itself), else raises.
+    MAE, RMSE and their standard errors are computed on the differences
+    divided by the power of two at or below their peak (see unit_scaled)
+    and multiplied back, so they neither over- nor underflow on the way
+    at any scale. A difference or a value beyond float64's range raises
+    DomainError rather than reading inf or NaN.
+
+    Corr is undefined for n < 3 or a constant series, and is then left
+    out.
 
     Args:
         preds, gts: equal-length non-empty lists of finite rates.
@@ -326,27 +332,29 @@ def error_metrics(preds, gts):
         raise DomainError("error_metrics needs at least one pair")
     if np.any(g == 0):
         raise DomainError("zero ground-truth rate makes MAPE undefined")
-    d = p - g
     n = p.size
 
-    mae_avg, mae_se = _avg_se(np.abs(d))
-    sq_avg, sq_se = _avg_se(d * d)
-    mape_avg, mape_se = _avg_se(100.0 * np.abs(d / g))
+    with np.errstate(over="ignore", invalid="ignore"):    # an inf or NaN is refused below
+        d = check_finite(p - g, "error_metrics preds - gts")
+        s, e = unit_scaled(d)
+        mae, sq = _avg_se(np.abs(s)), _avg_se(s * s)
+        # MAE, RMSE (each with its SE) and MAPE, at the scale of d again
+        values = shifted(np.array([*mae, np.sqrt(sq[0]), sq[1], *_avg_se(100.0 * np.abs(d / g))]),
+                         np.array([e, e, e, 2 * e, 0, 0]))
+    v = [check_real(x, f"error_metrics {name}")
+         for x, name in zip(values, ("MAE", "MAE se", "RMSE", "RMSE se", "MAPE", "MAPE se"))]
 
     corr_value = None
-    defined = n >= 3 and p.std() > 0 and g.std() > 0
-    if not defined and not np.array_equal(p, g):
-        raise DomainError("Corr undefined: needs at least 3 pairs and non-constant series")
-    if defined:
+    if n >= 3 and p.min() < p.max() and g.min() < g.max():
         r = _pearson(p, g)
         r_se = (1.0 - r * r) / np.sqrt(n - 3) if n > 3 else float("inf")
         corr_value = MetricValue(r, float(r_se))
 
     return MetricsReport(
         n=n,
-        mae=MetricValue(mae_avg, mae_se),
-        rmse=MetricValue(float(np.sqrt(sq_avg)), sq_se),
-        mape=MetricValue(mape_avg, mape_se),
+        mae=MetricValue(*v[0:2]),
+        rmse=MetricValue(*v[2:4]),
+        mape=MetricValue(*v[4:6]),
         corr=corr_value,
     )
 

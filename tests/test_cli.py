@@ -98,6 +98,20 @@ def test_metrics_reproduces_golden_output(golden, args, capsys, monkeypatch):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
+def test_metrics_reports_an_undefined_corr_by_leaving_it_out(tmp_path, capsys):
+    # two 30 s windows give two rate pairs, too few for Corr: the run
+    # exited 1 with "Corr undefined" and printed none of the other metrics
+    pred, gt = tmp_path / "pred.csv", tmp_path / "gt.csv"
+    assert main(["synth", "--out", str(pred), "--rate", "72", "--duration", "60", "--noise-sigma", "0.3"]) == 0
+    assert main(["synth", "--out", str(gt), "--rate", "80", "--duration", "60"]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--pred", str(pred), "--gt", str(gt), "--fs", "25"]) == 0
+    out = capsys.readouterr().out
+    assert "Corr" not in out
+    for label in ("MAE", "RMSE", "MAPE", "SNR", "MACC", "windows  2"):
+        assert label in out
+
+
 def test_metrics_table_output(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     _write_tone_csv(sig, [72.0] * 4)
@@ -428,9 +442,9 @@ def test_demo_forward_rates_take_the_configured_pad_factor(capsys):
     rgb = synth.gen_clip(300, 9, 3, seed=cfg.seed)
     thermal = synth.gen_clip(300, 9, 1, seed=cfg.seed + 1)
     pulse, resp = forward_multitask(rgb, thermal, cfg.model_config())
-    assert report["hr_bpm"] == estimate_rate_fft(pulse, cfg.hr_band, 4)
-    assert report["rr_bpm"] == estimate_rate_fft(resp, cfg.rr_band, 4)
-    assert report["rr_bpm"] != estimate_rate_fft(resp, cfg.rr_band)
+    assert report["hr_bpm"] == estimate_rate_fft(pulse, cfg.bands["hr"], 4)
+    assert report["rr_bpm"] == estimate_rate_fft(resp, cfg.bands["rr"], 4)
+    assert report["rr_bpm"] != estimate_rate_fft(resp, cfg.bands["rr"])
 
 
 def test_demo_forward_omit_attention(tmp_path, capsys):
@@ -549,6 +563,26 @@ def test_a_config_that_does_not_parse_exits_2(tmp_path, capsys, content, words):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert words in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--out", "s.csv", "--report", "r.json"], "--report"),
+    (["config", "--print-defaults", "--config", "missing.ini"], "--config"),
+    (["config", "--print-defaults", "--seed", "3"], "--seed"),
+    (["config", "--print-defaults", "--report", "r.json"], "--report"),
+    (["metrics", "--pred", "p.csv", "--gt", "g.csv", "--fs", "25", "--seed", "3"], "--seed"),
+], ids=["synth-report", "config-config", "config-seed", "config-report", "metrics-seed"])
+def test_a_shared_flag_the_subcommand_never_reads_is_refused(tmp_path, capsys, monkeypatch, argv, flag):
+    # each was accepted at exit 0 and ignored: synth wrote no report,
+    # config printed the defaults, metrics read no seed
+    monkeypatch.chdir(tmp_path)
+    _write_tone_csv(tmp_path / "p.csv", [72.0] * 3)
+    _write_tone_csv(tmp_path / "g.csv", [72.0] * 3)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_config_refuses_both_actions(tmp_path, capsys):

@@ -172,11 +172,10 @@ def _shape(*his):
 
 
 _FS = st.sampled_from(("25", "1", "5", "50", "0", "-1", "nan", "inf", "1e-300"))
-_COMMON = [
-    _flag("--config", _inputs("run.ini")),
-    _flag("--seed", st.sampled_from(("0", "7", "-1", "99999999999999999999", "x"))),
-    _flag("--report", st.sampled_from(_OUTPUTS)),
-]
+_CONFIG = _flag("--config", _inputs("run.ini"))
+_SEED = _flag("--seed", st.sampled_from(("0", "7", "-1", "99999999999999999999", "x")))
+_REPORT = _flag("--report", st.sampled_from(_OUTPUTS))
+# each subcommand's own flags, then the shared flags it reads
 _COMMANDS = {
     "factorize": [
         _flag("--input", _inputs("mat.csv")),
@@ -187,6 +186,7 @@ _COMMANDS = {
         _flag("--grbf-sigma", st.sampled_from(("0.5", "2", "1e150", "1e300", "-1", "nan"))),
         _flag("--grbf-delta-t", _ints(-1, 5)),
         _flag("--target", _inputs("sig.csv")),
+        _CONFIG, _SEED, _REPORT,
     ],
     "attend": [
         _flag("--input", _inputs("emb.npy")),
@@ -198,6 +198,7 @@ _COMMANDS = {
         _flag("--fs", _FS),
         _flag("--variant", st.sampled_from(("fsam", "grbf", "tsfm"))),
         _flag("--save-excited", st.sampled_from(_OUTPUTS)),
+        _CONFIG, _SEED, _REPORT,
     ],
     "metrics": [
         _inputs("sig.csv").map(lambda p: ["--pred", p]),
@@ -207,6 +208,7 @@ _COMMANDS = {
         _flag("--format", st.sampled_from(("table", "json"))),
         _flag("--window-s", st.sampled_from(("10", "20", "30", "5", "0", "1e308", "nan"))),
         _flag("--max-lag-s", st.sampled_from(("0", "1.5", "1e308", "-1", "nan"))),
+        _CONFIG, _REPORT,
     ],
     "synth": [
         _flag("--kind", st.sampled_from(("pulse", "resp"))),
@@ -217,17 +219,20 @@ _COMMANDS = {
         _flag("--noise-sigma", st.sampled_from(("0", "0.3", "1e300", "1e308", "-1", "nan"))),
         _switch("--with-time"),
         st.sampled_from(_OUTPUTS).map(lambda p: ["--out", p]),
+        _CONFIG, _SEED,
     ],
     "bench": [
         _flag("--repeats", _ints(-1, 2)),
         st.one_of(st.integers(-1, 40), st.just("x")).map(lambda f: ["--frames", str(f)]),
         _switch("--omit-attention"),
+        _CONFIG, _SEED, _REPORT,
     ],
     "demo-forward": [
         st.one_of(st.integers(-1, 40), st.sampled_from((250, 300, "x"))).map(lambda f: ["--frames", str(f)]),
         _flag("--fs", _FS),
         _switch("--omit-attention"),
         _flag("--save-prefix", st.sampled_from(_OUTPUTS)),
+        _CONFIG, _SEED, _REPORT,
     ],
     "config": [
         _switch("--print-defaults"),
@@ -241,11 +246,11 @@ _PATH_FLAGS = {"--config", "--report", "--input", "--target", "--save-excited", 
 
 @st.composite
 def argv(draw):
-    """A subcommand, its drawn flags, the common flags and now and then
-    a flag it does not know, in a drawn order; path values are names in
-    the run's directory."""
+    """A subcommand, its drawn flags and now and then a flag it does not
+    know, in a drawn order; path values are names in the run's
+    directory."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    groups = [draw(flag) for flag in _COMMANDS[command] + _COMMON]
+    groups = [draw(flag) for flag in _COMMANDS[command]]
     groups.append(draw(st.sampled_from(([], [], ["--bogus"]))))
     return [command] + [tok for group in draw(st.permutations(groups)) for tok in group]
 

@@ -8,7 +8,7 @@ from physfactor import config
 from physfactor.attention import AttentionConfig
 from physfactor.config import defaults_text, load_run_config
 from physfactor.errors import DomainError, InputFormatError
-from physfactor.metrics import HR_BAND, PAD_FACTOR, RR_BAND, WINDOW_S
+from physfactor.metrics import BANDS, PAD_FACTOR, WINDOW_S
 from physfactor.network import ModelConfig
 
 DEFAULTS_TEXT = """\
@@ -56,8 +56,8 @@ def test_defaults_load_without_file():
     assert cfg.pad_factor == 8
     assert cfg.max_lag_s is None
     assert cfg.seed == 0
-    assert cfg.hr_band.lo_hz == 0.6 and cfg.hr_band.hi_hz == 3.3
-    assert cfg.rr_band.lo_hz == 0.1 and cfg.rr_band.hi_hz == 0.5
+    assert cfg.bands["hr"].lo_hz == 0.6 and cfg.bands["hr"].hi_hz == 3.3
+    assert cfg.bands["rr"].lo_hz == 0.1 and cfg.bands["rr"].hi_hz == 0.5
 
 
 def test_defaults_text_round_trips(tmp_path):
@@ -120,7 +120,10 @@ def test_library_defaults_match_the_ini_defaults():
     att = AttentionConfig()
     assert cfg.model_config() == ModelConfig(bvp_attention=att, rsp_attention=att)
     assert cfg.window_s == WINDOW_S and cfg.pad_factor == PAD_FACTOR
-    assert cfg.hr_band == HR_BAND and cfg.rr_band == RR_BAND
+    assert cfg.bands == BANDS
+    with pytest.raises(TypeError):    # read-only, as BANDS is
+        cfg.bands["hr"] = BANDS["rr"]
+    assert hash(cfg) == hash(load_run_config())    # the table does not make the config unhashable
     assert defaults_text() == DEFAULTS_TEXT
 
 
@@ -188,10 +191,10 @@ FIELD_OF_KEY = {
     ("metrics", "window_s"): lambda c: c.window_s,
     ("metrics", "pad_factor"): lambda c: c.pad_factor,
     ("metrics", "max_lag_s"): lambda c: c.max_lag_s,
-    ("metrics", "hr_lo_hz"): lambda c: c.hr_band.lo_hz,
-    ("metrics", "hr_hi_hz"): lambda c: c.hr_band.hi_hz,
-    ("metrics", "rr_lo_hz"): lambda c: c.rr_band.lo_hz,
-    ("metrics", "rr_hi_hz"): lambda c: c.rr_band.hi_hz,
+    ("metrics", "hr_lo_hz"): lambda c: c.bands["hr"].lo_hz,
+    ("metrics", "hr_hi_hz"): lambda c: c.bands["hr"].hi_hz,
+    ("metrics", "rr_lo_hz"): lambda c: c.bands["rr"].lo_hz,
+    ("metrics", "rr_hi_hz"): lambda c: c.bands["rr"].hi_hz,
     ("rng", "seed"): lambda c: c.seed,
 }
 

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from physfactor.errors import DomainError
 from physfactor.metrics import (
+    BANDS,
     HR_BAND,
     RR_BAND,
     MetricsReport,
+    MetricValue,
     RateBand,
     _avg_se,
     _pearson,
+    _spectrum_grid,
     band_for,
     error_metrics,
     estimate_rate_fft,
@@ -28,10 +31,24 @@ from physfactor.tensors import Waveform
 def test_rate_band_validation():
     assert band_for("hr") is HR_BAND
     assert band_for("rr") is RR_BAND
+    assert dict(BANDS) == {"hr": HR_BAND, "rr": RR_BAND}
+    with pytest.raises(TypeError):
+        BANDS["hr"] = RR_BAND
     with pytest.raises(DomainError):
         RateBand(0.5, 0.2)
     with pytest.raises(DomainError):
         band_for("xx")
+
+
+@pytest.mark.parametrize("nfft, fs, band", [(8192, 25.0, HR_BAND), (750, 25.0, HR_BAND), (150, 5.0, RR_BAND),
+                                            (375, 12.5, RateBand(0.7, 3.0))])
+def test_spectrum_grid_is_rfftfreq_and_its_band_mask(nfft, fs, band):
+    # the rate and snr share one cached grid, so no caller may write it
+    freqs, lo, hi = _spectrum_grid(nfft, fs, band)
+    assert _spectrum_grid(nfft, fs, band)[0] is freqs and not freqs.flags.writeable
+    assert np.array_equal(freqs, np.fft.rfftfreq(nfft, 1.0 / fs))
+    inband = np.flatnonzero((freqs >= band.lo_hz) & (freqs <= band.hi_hz))
+    assert (lo, hi) == (inband[0], inband[-1] + 1)
 
 
 def test_rate_estimation_pure_tones():
@@ -397,25 +414,44 @@ def test_error_metrics_se_oracle():
 
 
 def test_error_metrics_corr_modes():
-    # an undefined Corr is skipped for identical series, raised otherwise
-    with pytest.raises(DomainError, match="Corr"):
-        error_metrics([60.0, 62.0], [61.0, 61.0])
-
+    # an undefined Corr (n < 3 or a constant series) is left out, and
+    # the other three metrics are still reported
     constant = [70.0, 70.0, 70.0]
-    rep = error_metrics(constant, constant)
-    assert rep.corr is None and rep.mae.avg == 0.0
-    with pytest.raises(DomainError, match="Corr"):
-        error_metrics(constant, [70.0, 71.0, 72.0])
-    with pytest.raises(DomainError, match="Corr"):
-        error_metrics(constant, [71.0, 71.0, 71.0])
-
-    # identical series skip Corr even below three windows
-    short = error_metrics([72.0, 72.0], [72.0, 72.0])
-    assert short.corr is None and short.mae.avg == 0.0
-    with pytest.raises(DomainError, match="Corr"):
-        error_metrics([72.0, 72.0], [72.0, 73.0])
+    for p, g in (([60.0, 62.0], [61.0, 61.0]),
+                 (constant, constant),
+                 (constant, [70.0, 71.0, 72.0]),
+                 ([70.0, 71.0, 72.0], constant),
+                 (constant, [71.0, 71.0, 71.0]),
+                 ([72.0, 72.0], [72.0, 72.0]),
+                 ([72.0, 72.0], [72.0, 73.0])):
+        rep = error_metrics(p, g)
+        assert rep.corr is None
+        assert rep.mae.avg == np.mean(np.abs(np.subtract(p, g)))
+    # a series that varies by one ulp is not constant
+    rep = error_metrics([70.0, 70.0, np.nextafter(70.0, 71.0)], [70.0, 71.0, 72.0])
+    assert rep.corr is not None
     with pytest.raises(TypeError):
         error_metrics(constant, constant, corr="skip")
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-1000, 1000))
+@example(k=-498)    # 2^-498 ~ 1e-150, where RMSE's SE underflowed to 0.0
+@example(k=664)     # 2^664 ~ 1e200, where MAE's SE read inf
+@example(k=-565)    # 2^-565 ~ 1e-170, where the std of a rate series underflowed
+def test_error_metrics_is_exact_at_any_scale(k):
+    # every value is its unit-scale value times 2^k (2^2k for RMSE's SE,
+    # the SE of squared errors), and one beyond float64 is refused
+    p, g = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1.0, 1.5, 2.0])
+    unit = error_metrics(p, g)
+    if math.frexp(unit.rmse.se)[1] + 2 * k > 1024:    # beyond float64's largest value
+        with pytest.raises(DomainError, match="RMSE se"):
+            error_metrics(np.ldexp(p, k), np.ldexp(g, k))
+        return
+    rep = error_metrics(np.ldexp(p, k), np.ldexp(g, k))
+    for name, (ka, ks) in {"mae": (k, k), "rmse": (k, 2 * k), "mape": (0, 0), "corr": (0, 0)}.items():
+        want = getattr(unit, name)
+        assert getattr(rep, name) == MetricValue(float(np.ldexp(want.avg, ka)), float(np.ldexp(want.se, ks))), name
 
 
 def test_error_metrics_preconditions():
@@ -425,6 +461,12 @@ def test_error_metrics_preconditions():
         error_metrics([1.0], [1.0, 2.0])
     with pytest.raises(DomainError):
         error_metrics([60.0, 61.0, 62.0], [60.0, 0.0, 62.0])  # MAPE undefined
+    # a difference or a percentage beyond float64 is refused, where numpy
+    # warned of the overflow and the report read inf
+    with pytest.raises(DomainError, match="preds - gts must be finite"):
+        error_metrics([1e308, 1.0, 2.0], [-1e308, 2.0, 1.0])
+    with pytest.raises(DomainError, match="MAPE must be finite"):
+        error_metrics([1e100, 1.0, 2.0], [1e-250, 2.0, 1.0])
 
 
 def test_split_windows_trailing_rule():
